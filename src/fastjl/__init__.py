@@ -39,6 +39,7 @@ from .transform import (
     NormCriterion,
     SignDiagonal,
     SparseProjection,
+    apply_phd,
     apply_signs,
     dense_embed_reference,
     embed,
@@ -68,6 +69,7 @@ __all__ = [
     "apply_signs",
     "sample_projection",
     "project",
+    "apply_phd",
     "embed",
     "embed_with",
     "dense_embed_reference",

@@ -21,17 +21,15 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import bench as bench_mod
 from . import verify
 from .errors import FastJlError, ParameterError
 from .instances import (
+    _atomic_write_bytes,
     VectorDataset,
     pad_to_power_of_two,
     random_unit_vector,
@@ -40,13 +38,7 @@ from .instances import (
 )
 from .rng import derive_seed
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
-from .transform import (
-    JlParams,
-    NormCriterion,
-    embed_with,
-    sample_projection,
-    sample_signs,
-)
+from .transform import JlParams, NormCriterion, apply_phd, sample_projection, sample_signs
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -100,7 +92,7 @@ class RunConfig:
 # flag > config-file > default precedence can be applied uniformly.
 _COMMON = [
     ("seed", "--seed", int, None, "master RNG seed (fallback: FASTJL_SEED, then 0)"),
-    ("workers", "--workers", int, None, "worker threads for Monte Carlo trials"),
+    ("workers", "--workers", int, None, "worker threads (Monte Carlo trial blocks, embed row chunks)"),
 ]
 
 _FIELDS: dict[str, list[tuple]] = {
@@ -247,7 +239,10 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
     if "seed" not in resolved:
         env_seed = os.environ.get("FASTJL_SEED")
-        resolved["seed"] = int(env_seed) if env_seed else 0
+        try:
+            resolved["seed"] = int(env_seed) if env_seed else 0
+        except ValueError:
+            raise ParameterError(f"FASTJL_SEED must be an integer, got {env_seed!r}") from None
     if "workers" not in resolved:
         resolved["workers"] = 1 if command == "bench" else (os.cpu_count() or 1)
 
@@ -283,21 +278,8 @@ def _validate_paths(config: RunConfig) -> None:
 # execution
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_jsonl(path: str, records: list[dict]) -> None:
-    _atomic_write_text(path, "".join(json.dumps(r) + "\n" for r in records))
+    _atomic_write_bytes(Path(path), "".join(json.dumps(r) + "\n" for r in records).encode())
 
 
 def _resolve_q(config: RunConfig, d: int) -> float:
@@ -331,9 +313,7 @@ def _run_embed(config: RunConfig) -> int:
         raise ParameterError(f"derived k={k} exceeds padded dimension d={d}")
     diag = sample_signs(d, config.seed)
     proj = sample_projection(k, d, q, config.seed)
-    embedded = np.empty((len(dataset), k), dtype=np.float64)
-    for i, row in enumerate(dataset.vectors):
-        embedded[i] = embed_with(np.ascontiguousarray(row), diag, proj)
+    embedded = apply_phd(dataset.vectors, diag, proj, workers=config.workers)
     write_vectors(config.out_path, VectorDataset(d=k, vectors=embedded))
     print(
         f"embed: {len(dataset)} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
@@ -575,7 +555,7 @@ def _run_bench(config: RunConfig) -> int:
     records = bench_mod.run_bench(configs, config.reps, config.seed,
                                   parallel_apply=config.parallel_apply)
     echo = json.dumps(config.to_dict())
-    _atomic_write_text(config.out_path, bench_mod.records_to_csv(records, config_echo=echo))
+    _atomic_write_bytes(Path(config.out_path), bench_mod.records_to_csv(records, config_echo=echo).encode())
     print(f"bench: {len(records)} configurations -> {config.out_path}")
     return 0
 
@@ -597,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(argv)
     except SystemExit as exc:  # argparse prints its own message
         return exc.code if isinstance(exc.code, int) else 2
-    except FastJlError as exc:
+    except (FastJlError, OSError) as exc:  # OSError: an unreadable --config file
         print(f"fastjl: error: {exc}", file=sys.stderr)
         return 2
     try:

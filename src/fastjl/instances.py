@@ -14,6 +14,8 @@ Two file formats are supported, dispatched on the file suffix:
   values, row-major.  Round-trips are bit-exact.
 * ``.csv``  -- text, one vector per line, 17 significant digits (enough
   for exact float64 round-trips).
+
+Readers reject NaN and infinity, naming the first bad row (1-based).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .rng import check_seed, substream
-from .transform import _fwht_last_axis, is_power_of_two
+from .transform import _CHUNK_CELLS, _fwht_last_axis, is_power_of_two
 
 MAGIC = b"FJLV"
 FORMAT_VERSION = 1
@@ -181,15 +183,21 @@ def _read_binary(path: Path, raw: bytes) -> VectorDataset:
         raise DatasetFormatError(f"{path}: unsupported format version {version}")
     if d < 1:
         raise DatasetFormatError(f"{path}: header declares d={d}")
-    body = raw[_HEADER.size :]
-    expected = count * d * 8
-    if len(body) != expected:
-        have = len(body) // 8
+    payload = len(raw) - _HEADER.size
+    if payload != count * d * 8:
+        have = payload // 8
         row = have // d + 1
         raise DimensionMismatchError(
             f"{path}: header declares {count} x {d} values but payload holds {have} (row {row})"
         )
-    vectors = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(count, d)
+    # a read-only view of ``raw``, not a copy; callers that write make their own
+    vectors = np.frombuffer(raw, dtype="<f8", count=count * d, offset=_HEADER.size)
+    vectors = vectors.astype(np.float64, copy=False).reshape(count, d)
+    step = max(1, _CHUNK_CELLS // d)  # checked a chunk at a time: no file-sized mask
+    for lo in range(0, count, step):
+        finite = np.isfinite(vectors[lo : lo + step]).all(axis=1)
+        if not finite.all():
+            raise DatasetFormatError(f"{path}: row {lo + int(np.argmin(finite)) + 1} has a non-finite value")
     return VectorDataset(d=d, vectors=vectors, source=str(path))
 
 
@@ -205,6 +213,8 @@ def _read_csv(path: Path, raw: bytes) -> VectorDataset:
             row = np.array([float(tok) for tok in line.split(",")], dtype=np.float64)
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: row {lineno}: {exc}") from None
+        if not np.isfinite(row).all():
+            raise DatasetFormatError(f"{path}: row {lineno} has a non-finite value")
         if d is None:
             d = len(row)
             if d == 0:

@@ -15,7 +15,8 @@ the worker count), which makes parallel and sequential runs bit-identical.
 
 from __future__ import annotations
 
-from typing import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,3 +54,12 @@ def block_ranges(trials: int, block: int = TRIAL_BLOCK) -> Iterator[tuple[int, i
         raise ParameterError(f"trials must be >= 1, got {trials}")
     for index, lo in enumerate(range(0, trials, block)):
         yield index, lo, min(lo + block, trials)
+
+
+def map_blocks(fn: Callable[[int, int, int], object], blocks: Iterable[tuple], workers: int = 1) -> list:
+    """Apply ``fn(block_index, lo, hi)`` over ``blocks`` on up to ``workers`` threads, in block order."""
+    blocks = list(blocks)
+    if workers <= 1 or len(blocks) == 1:
+        return [fn(*b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda b: fn(*b), blocks))

@@ -3,11 +3,15 @@
 The embedding of a vector ``x`` is ``k^{-1/2} * P @ H @ D @ x`` where
 
 * ``D`` is a diagonal of independent uniform random signs,
-* ``H`` is the normalized Walsh-Hadamard matrix (applied in O(d log d),
-  or as a cached dense product for small d),
+* ``H`` is the normalized Walsh-Hadamard matrix,
 * ``P`` is a sparse k x d matrix whose cells are independently occupied
   with probability ``q`` and carry weight ``N / sqrt(q)`` for a standard
   Gaussian ``N``.
+
+Every caller goes through one batched kernel, :func:`apply_phd`.  ``H_d`` is
+a Kronecker product of Sylvester blocks of size <= 64, each one BLAS product
+(a cache-blocked FWHT after FFHT: Andoni, Indyk, Laarhoven, Razenshteyn and
+Schmidt, NeurIPS 2015); ``P`` is a gather, or a product with a dense copy.
 
 A dense Gaussian embedding is provided as the classical reference.
 All samplers are pure functions of their seed; see :mod:`fastjl.rng`.
@@ -23,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import check_seed, substream
+from .rng import block_ranges, check_seed, map_blocks, substream
 
 # Key paths so that the sign diagonal, the sparse projection and the dense
 # reference matrix drawn from one seed are independent streams.
@@ -42,6 +46,7 @@ __all__ = [
     "apply_signs",
     "sample_projection",
     "project",
+    "apply_phd",
     "embed",
     "embed_with",
     "sample_dense_matrix",
@@ -65,10 +70,10 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
 
     ``v`` must be a float64 vector whose length is a power of two.  The
     result overwrites ``v``, which is also returned (``fwht_inplace(v) is
-    v``).  Up to ``d = DENSE_FWHT_MAX_D`` it is one product with a cached
-    dense H_d, which is faster there than the O(d log d) butterfly passes
-    used for larger ``d``.  H_d is symmetric orthogonal, so applying the
-    transform twice restores the input.
+    v``).  H_d is applied as a Kronecker product of Sylvester blocks of size
+    at most 64, one BLAS product per block, in O(d log d) flops for every d.
+    H_d is symmetric orthogonal, so applying the transform twice restores the
+    input.
     """
     _check_float_vector(v)
     if not is_power_of_two(v.shape[0]):
@@ -76,47 +81,55 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     return _fwht_last_axis(v)
 
 
-# Largest d transformed by a dense product.  Measured on a 2-core x86 box
-# (numpy 2.4, OpenBLAS): at d=512 the dense product about ties the butterfly
-# on one vector (58 vs 65 us) and is 3x faster on a 4096-row block (34 vs
-# 115 ms); at d=1024 it loses on one vector (197 vs 92 us).
-DENSE_FWHT_MAX_D = 512
+# Largest Sylvester block of the factored transform: a product with H_a costs
+# 2a flops per entry, so blocks stay small but give each BLAS call real work.
+_MAX_HADAMARD_BLOCK = 64
+
+# Float64 cells per row chunk (2 MB per scratch array): 256 rows at d = 1024.
+_CHUNK_CELLS = 1 << 18
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_hadamard(d: int) -> np.ndarray:
-    """Read-only normalized H_d; every entry is exactly +-d^{-1/2}."""
-    H = _butterfly(np.eye(d))
-    H.setflags(write=False)
-    return H
+def _hadamard_blocks(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only normalized Sylvester matrices H_a, a <= 64 and as equal as can be, whose
+    Kronecker product is H_d."""
+    bits = d.bit_length() - 1
+    count = max(1, -(-bits // (_MAX_HADAMARD_BLOCK.bit_length() - 1)))
+    blocks = []
+    for i in range(count):
+        H = np.ones((1, 1))
+        while len(H) < 1 << (bits // count + (i < bits % count)):
+            H = np.block([[H, H], [H, -H]])
+        H *= len(H) ** -0.5
+        H.setflags(write=False)
+        blocks.append(H)
+    return tuple(blocks)
 
 
 def _fwht_last_axis(a: np.ndarray) -> np.ndarray:
     """Transform the last axis of ``a`` in place and return ``a``.
 
-    Small ``d`` uses the cached dense H_d, larger ``d`` the butterfly.
+    H_d = H_{a_1} (x) ... (x) H_{a_f}, so each block multiplies its own axis of
+    a row reshaped to (a_1, ..., a_f); the last product writes into ``a``.
+    Rows go ``_CHUNK_CELLS`` at a time, so scratch memory stays O(chunk).
     """
-    d = a.shape[-1]
-    if d <= DENSE_FWHT_MAX_D:
-        a[...] = a @ _dense_hadamard(d)
+    *inner, last = _hadamard_blocks(a.shape[-1])
+    if not inner:  # d <= 64: one product, which costs less than the chunk loop
+        a[...] = a @ last
         return a
-    return _butterfly(a)
-
-
-def _butterfly(a: np.ndarray) -> np.ndarray:
-    """O(d log d) butterfly passes over the last axis of ``a``, without scratch buffers."""
+    if not a.flags.c_contiguous:
+        a[...] = _fwht_last_axis(np.ascontiguousarray(a))
+        return a
     d = a.shape[-1]
-    h = 1
-    while h < d:
-        v = a.reshape(a.shape[:-1] + (d // (2 * h), 2, h))
-        top = v[..., 0, :]
-        bot = v[..., 1, :]
-        # (top, bot) <- (top + bot, top - bot) in three in-place passes
-        top += bot
-        bot *= -2.0
-        bot += top
-        h *= 2
-    a *= d**-0.5
+    rows = a.reshape(-1, d)
+    step = max(1, _CHUNK_CELLS // d)
+    for lo in range(0, len(rows), step):
+        chunk = u = rows[lo : lo + step]
+        right = d
+        for H in inner:
+            right //= len(H)
+            u = np.matmul(H, u.reshape(-1, len(H), right))
+        np.matmul(u.reshape(-1, len(last)), last, out=chunk.reshape(-1, len(last)))
     return a
 
 
@@ -301,6 +314,60 @@ def project(P: SparseProjection, v: np.ndarray) -> np.ndarray:
     return _project_core(P.indptr, P.cols, P.weights, v)
 
 
+# Largest dense copy of P (k * d float64 cells, 16 MB) that a call may build.
+DENSE_PROJECTION_MAX_CELLS = 1 << 21
+
+
+def _dense_projection_pays(rows: int, nnz: int, cells: int) -> bool:
+    """Whether ``rows`` BLAS products with a dense copy of P beat ``rows`` gathers.
+
+    Per row the gather costs about 8 ns per entry and the product 0.04 ns per
+    cell; the copy costs 0.4 ns per cell plus 20 ns per entry to build (2-core
+    x86, one BLAS thread).  The rule states that in units of one gathered entry.
+    """
+    return cells <= DENSE_PROJECTION_MAX_CELLS and cells * (1 / 20 + rows / 200) + 2.5 * nnz < rows * nnz
+
+
+def _phd(X, signs, indptr, cols, weights, k: int, workers: int = 1) -> np.ndarray:
+    """The kernel behind :func:`apply_phd`, ``embed`` and the trial loops; arguments are already checked."""
+    n, d = X.shape
+    weights = weights * k**-0.5
+    dense = _dense_projection_pays(n, len(cols), k * d)
+    if dense:
+        Pt = np.zeros((d, k))
+        Pt[cols, np.repeat(np.arange(k), np.diff(indptr))] = weights
+    Y = np.empty((n, k))
+
+    def one_chunk(_index: int, lo: int, hi: int) -> None:
+        if dense:
+            Y[lo:hi] = _fwht_last_axis(X[lo:hi] * signs) @ Pt
+        else:  # row by row: a batched gather is slower per row at large nnz, and one row stays 1-d
+            for i in range(lo, hi):
+                Y[i] = _project_core(indptr, cols, weights, _fwht_last_axis(X[i] * signs))
+
+    # chunk boundaries depend on the shapes only, so the output is the same at
+    # every worker count
+    step = max(1, _CHUNK_CELLS // d)
+    if n <= step:
+        one_chunk(0, 0, n)
+    else:
+        map_blocks(one_chunk, block_ranges(n, step), workers)
+    return Y
+
+
+def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers: int = 1) -> np.ndarray:
+    """The embeddings ``k^{-1/2} P H D x`` of the rows ``x`` of ``X[n, d]``, as ``Y[n, k]``.
+
+    Rows go in fixed chunks of about 2 MB (scratch memory is O(chunk * d)), spread
+    over ``workers`` threads; the output is bit-identical at every worker count.
+    """
+    if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
+        raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")
+    if X.dtype != np.float64:
+        raise ParameterError(f"X must have dtype float64, got {X.dtype}")
+    return _phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers)
+
+
 def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     """The full embedding k^{-1/2} P H D x with (D, P) drawn from params.seed.
 
@@ -313,23 +380,16 @@ def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     _check_float_vector(x, "x")
     if x.shape[0] != params.d:
         raise DimensionError(f"length mismatch: x has {x.shape[0]}, params.d is {params.d}")
-    u = _draw_signs(substream(params.seed, _SIGNS_KEY), params.d) * x
-    _fwht_last_axis(u)
+    signs = _draw_signs(substream(params.seed, _SIGNS_KEY), params.d)
     rng = substream(params.seed, _PROJECTION_KEY)
     indptr, cols, weights = _draw_projection_arrays(rng, params.k, params.d, params.q)
-    return _project_core(indptr, cols, weights, u) * params.k**-0.5
+    return _phd(x[None], signs, indptr, cols, weights, params.k)[0]
 
 
 def embed_with(x: np.ndarray, diag: SignDiagonal, proj: SparseProjection) -> np.ndarray:
-    """Embed with a pre-sampled (D, P) pair, so one draw can embed many vectors."""
+    """Embed with a pre-sampled (D, P) pair; :func:`apply_phd` embeds many vectors at once."""
     _check_float_vector(x, "x")
-    if x.shape[0] != diag.d or diag.d != proj.d:
-        raise DimensionError(
-            f"length mismatch: x has {x.shape[0]}, diagonal has {diag.d}, projection has d={proj.d}"
-        )
-    u = apply_signs(x, diag)
-    _fwht_last_axis(u)
-    return _project_core(proj.indptr, proj.cols, proj.weights, u) * proj.k**-0.5
+    return apply_phd(x[None], diag, proj)[0]
 
 
 def sample_dense_matrix(k: int, d: int, seed: int) -> np.ndarray:

@@ -21,17 +21,16 @@ labeled as assumptions in emitted records, never hard-coded as truths.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import special
 
 from .errors import DimensionError, DomainError, ParameterError
 from .instances import VectorDataset, hard_vector
-from .rng import TRIAL_BLOCK, block_ranges, check_seed, substream
+from .rng import block_ranges, check_seed, map_blocks, substream
 from .sparsity import choose_k
 from .transform import (
     JlParams,
@@ -39,6 +38,7 @@ from .transform import (
     _draw_projection_arrays,
     _draw_signs,
     _fwht_last_axis,
+    _phd,
     _project_core,
 )
 
@@ -131,19 +131,6 @@ class Verdict(Enum):
 
 
 # --------------------------------------------------------------------------
-# block-parallel Monte Carlo driver
-
-
-def _map_blocks(trials: int, workers: int, fn: Callable[[int, int, int], object]) -> list:
-    """Apply ``fn(block_index, lo, hi)`` over trial blocks, in block order."""
-    blocks = list(block_ranges(trials))
-    if workers <= 1 or len(blocks) == 1:
-        return [fn(*b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), blocks))
-
-
-# --------------------------------------------------------------------------
 # Z statistics: Z_i = Binomial(m, q) / m, the squared mass a projection row
 # captures on the worst-case vector with m equal coordinates
 
@@ -186,7 +173,7 @@ def simulate_z_statistics(
         z = rng.binomial(m, q, size=(hi - lo, k)) / m
         return z.max(axis=1), z.sum(axis=1), (z * z).sum(axis=1)
 
-    parts = _map_blocks(trials, workers, one_block)
+    parts = map_blocks(one_block, block_ranges(trials), workers)
     return ZSampleBatch(
         max_z=np.concatenate([p[0] for p in parts]),
         sum_z=np.concatenate([p[1] for p in parts]),
@@ -444,7 +431,18 @@ def estimate_failure_rate(
         true_sq = ((points[ii] - points[jj]) ** 2).sum(axis=1)
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
-        return _pairwise_failure_rate(params, points, ii, jj, true_sq, trials, workers)
+
+        def one_block(index: int, lo: int, hi: int) -> int:
+            rng = substream(params.seed, index)
+            failures = 0
+            for _ in range(hi - lo):
+                signs = _draw_signs(rng, d)
+                emb = _phd(points, signs, *_draw_projection_arrays(rng, k, d, q), k)
+                diff_sq = ((emb[ii] - emb[jj]) ** 2).sum(axis=1)
+                failures += bool(np.any(_norm_window_fails(diff_sq / true_sq, eps, criterion)))
+            return failures
+
+        return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
 
     fixed = None if callable(source) else np.asarray(source, dtype=np.float64)
     if fixed is not None:
@@ -457,7 +455,11 @@ def estimate_failure_rate(
     def one_block(index: int, lo: int, hi: int) -> int:
         rng = substream(params.seed, index)
         count = hi - lo
-        signs = _draw_signs(rng, (count, d))
+        u = _draw_signs(rng, (count, d))  # becomes H D x, one row per trial
+        if fixed is not None:
+            u *= fixed
+            _fwht_last_axis(u)
+            x_sq = fixed_sq
         failures = 0
         for t in range(count):
             if fixed is None:
@@ -467,41 +469,15 @@ def estimate_failure_rate(
                 x_sq = float(x @ x)
                 if x_sq == 0.0:
                     raise ParameterError("zero vector: norm criterion undefined")
-            else:
-                x, x_sq = fixed, fixed_sq
-            u = signs[t] * x
-            _fwht_last_axis(u)
+                u[t] *= x
+                _fwht_last_axis(u[t])
             indptr, cols, weights = _draw_projection_arrays(rng, k, d, q)
-            y = _project_core(indptr, cols, weights, u)
+            y = _project_core(indptr, cols, weights, u[t])
             ratio_sq = (y @ y) / (k * x_sq)
             failures += bool(_norm_window_fails(np.asarray(ratio_sq), eps, criterion))
         return failures
 
-    parts = _map_blocks(trials, workers, one_block)
-    return TailEstimate.from_counts(sum(parts), trials)
-
-
-def _pairwise_failure_rate(params, points, ii, jj, true_sq, trials, workers) -> TailEstimate:
-    d, k, q, eps = params.d, params.k, params.q, params.eps
-    criterion = params.norm_criterion
-
-    def one_block(index: int, lo: int, hi: int) -> int:
-        rng = substream(params.seed, index)
-        failures = 0
-        for _ in range(hi - lo):
-            signs = _draw_signs(rng, d)
-            u = signs * points
-            _fwht_last_axis(u)
-            indptr, cols, weights = _draw_projection_arrays(rng, k, d, q)
-            prods = weights * u[:, cols]
-            csum = np.concatenate([np.zeros((u.shape[0], 1)), np.cumsum(prods, axis=1)], axis=1)
-            emb = (csum[:, indptr[1:]] - csum[:, indptr[:-1]]) * k**-0.5
-            diff_sq = ((emb[ii] - emb[jj]) ** 2).sum(axis=1)
-            failures += bool(np.any(_norm_window_fails(diff_sq / true_sq, eps, criterion)))
-        return failures
-
-    parts = _map_blocks(trials, workers, one_block)
-    return TailEstimate.from_counts(sum(parts), trials)
+    return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
 
 
 def coord_exceedance_rate(
@@ -534,7 +510,7 @@ def coord_exceedance_rate(
             remaining -= rows
         return failures
 
-    parts = _map_blocks(trials, workers, one_block)
+    parts = map_blocks(one_block, block_ranges(trials), workers)
     return TailEstimate.from_counts(sum(parts), trials)
 
 
@@ -670,7 +646,7 @@ def chisq_lower_tail_check(
         stat = (w * (g * g - 1.0)).sum(axis=1)
         return int(np.count_nonzero(stat >= x))
 
-    estimate = TailEstimate.from_counts(sum(_map_blocks(trials, workers, one_block)), trials)
+    estimate = TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
     verdict = Verdict.PASS if estimate.wilson_hi >= bound else Verdict.FAIL
     return ChiSquareTailCheck(estimate=estimate, bound=bound, verdict=verdict, c3=c3, C3=C3)
 
@@ -796,7 +772,7 @@ def lower_bound_witness(
         failed = (total <= (1.0 - eps) * k) | (total >= (1.0 + eps) * k)
         return first, total - first, total, failed, mx, total - mx
 
-    parts = _map_blocks(trials, workers, one_block)
+    parts = map_blocks(one_block, block_ranges(trials), workers)
     first_term = np.concatenate([p[0] for p in parts])
     rest_sum = np.concatenate([p[1] for p in parts])
     total = np.concatenate([p[2] for p in parts])
@@ -842,7 +818,7 @@ def total_mass_statistic(
         rng = substream(seed, index)
         return rng.binomial(r, q, size=hi - lo) / (m * q)
 
-    samples = np.concatenate(_map_blocks(trials, 1, one_block))
+    samples = np.concatenate(map_blocks(one_block, block_ranges(trials)))
     successes = int(np.count_nonzero(samples >= threshold))
     return TotalMassResult(
         estimate=TailEstimate.from_counts(successes, trials),
@@ -881,7 +857,7 @@ def mgf_premise_estimate(trials: int, seed: int, workers: int = 1) -> MgfPremise
         x = np.exp(MGF_RATE * (rng.standard_normal(hi - lo) ** 2 - 1.0))
         return float(x.sum()), float((x * x).sum())
 
-    parts = _map_blocks(trials, workers, one_block)
+    parts = map_blocks(one_block, block_ranges(trials), workers)
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / trials

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from fastjl import ParameterError, VectorDataset, read_vectors, write_vectors
+from fastjl import (
+    ParameterError,
+    VectorDataset,
+    embed_with,
+    read_vectors,
+    sample_projection,
+    sample_signs,
+    write_vectors,
+)
 from fastjl.cli import RunConfig, execute, main, parse_config
 from fastjl.sparsity import q_theorem1
 
@@ -71,6 +79,20 @@ class TestParseConfig:
         cfg = parse_config(["verify-lemmas", "--report", str(tmp_path / "r.jsonl")])
         assert cfg.seed == 99
 
+    def test_bad_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FASTJL_SEED", "twelve")
+        code = main(["verify-lemmas", "--report", str(tmp_path / "r.jsonl")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "FASTJL_SEED" in err[0]
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        code = main(["verify-lemmas", "--config", str(missing), "--report", str(tmp_path / "r.jsonl")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "nope.cfg" in err[0]
+
     def test_nonexistent_input_exits_2(self, tmp_path):
         code = main(["embed", "--in", str(tmp_path / "missing.fjlv"),
                      "--out", str(tmp_path / "y.fjlv"), "--q", "0.1", "--k", "4"])
@@ -107,6 +129,33 @@ class TestEmbedCommand:
         argv2 = argv.copy(); argv2[4] = str(out2)
         assert main(argv1) == 0 and main(argv2) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_workers_do_not_change_output(self, tmp_path):
+        # 600 rows at d=1024 run as three row chunks
+        src = tmp_path / "x.fjlv"
+        pts = np.random.default_rng(2).standard_normal((600, 1000))
+        write_vectors(src, VectorDataset(d=1000, vectors=pts))
+        outs = []
+        for workers in ("1", "2"):
+            dst = tmp_path / f"y{workers}.fjlv"
+            assert main(["embed", "--in", str(src), "--out", str(dst), "--q", "0.05", "--k", "32",
+                         "--seed", "6", "--workers", workers]) == 0
+            outs.append(dst.read_bytes())
+        assert outs[0] == outs[1]
+        diag, proj = sample_signs(1024, 6), sample_projection(32, 1024, 0.05, 6)
+        padded = np.zeros((600, 1024))
+        padded[:, :1000] = pts
+        emb = read_vectors(tmp_path / "y1.fjlv").vectors
+        for i in (0, 255, 256, 599):
+            assert np.abs(emb[i] - embed_with(padded[i], diag, proj)).max() < 1e-12
+
+    def test_non_finite_input_exits_2(self, tmp_path, capsys):
+        src, dst = tmp_path / "x.csv", tmp_path / "y.csv"
+        src.write_text("1,2,3\nnan,1,inf\n")
+        assert main(["embed", "--in", str(src), "--out", str(dst), "--q", "0.5", "--k", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "row 2" in err[0]
+        assert not dst.exists()
 
     def test_preserves_distances_roughly(self, tmp_path):
         # with k = d and q = 1 the embedding is a dense Gaussian JL map

@@ -175,6 +175,27 @@ class TestVectorIo:
         with pytest.raises(DatasetFormatError, match="row 2"):
             read_vectors(path)
 
+    def test_csv_non_finite_names_row(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1.0,2.0,3.0\nnan,1,inf\n")
+        with pytest.raises(DatasetFormatError, match="row 2 has a non-finite value"):
+            read_vectors(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_binary_non_finite_names_row(self, tmp_path, bad):
+        data = np.ones((5, 3))
+        data[2, 1] = bad
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, VectorDataset(d=3, vectors=data))
+        with pytest.raises(DatasetFormatError, match="row 3 has a non-finite value"):
+            read_vectors(path)
+
+    def test_binary_read_is_a_view_of_the_file_bytes(self, tmp_path):
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, VectorDataset(d=4, vectors=np.ones((3, 4))))
+        vectors = read_vectors(path).vectors
+        assert not vectors.flags.owndata and not vectors.flags.writeable
+
     def test_unknown_suffix(self, tmp_path):
         with pytest.raises(DatasetFormatError):
             write_vectors(tmp_path / "x.dat", VectorDataset(d=1, vectors=np.zeros((1, 1))))

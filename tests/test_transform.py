@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fastjl import (
     JlParams,
     ParameterError,
     SignDiagonal,
+    apply_phd,
     apply_signs,
     dense_embed_reference,
     embed,
@@ -20,7 +22,12 @@ from fastjl import (
     sample_signs,
 )
 from fastjl.sparsity import expected_nnz
-from fastjl.transform import DENSE_FWHT_MAX_D, _butterfly, _fwht_last_axis
+from fastjl.transform import (
+    DENSE_PROJECTION_MAX_CELLS,
+    _CHUNK_CELLS,
+    _dense_projection_pays,
+    _fwht_last_axis,
+)
 
 from helpers import dense_hadamard
 
@@ -74,27 +81,32 @@ class TestFwht:
 
 
 class TestFwhtDensePath:
-    """Small d goes through a cached dense H_d, larger d through the butterfly."""
+    """The factored transform against the dense H_d at d = 512 and 1024, two blocks each."""
 
-    CUTOFF_DIMS = [DENSE_FWHT_MAX_D, 2 * DENSE_FWHT_MAX_D]
+    DIMS = [512, 1024]
 
-    @pytest.mark.parametrize("d", CUTOFF_DIMS)
+    @pytest.mark.parametrize("d", DIMS)
     def test_vector_in_place_matches_dense_hadamard(self, d):
         x = np.random.default_rng(d).standard_normal(d)
         v = x.copy()
         assert fwht_inplace(v) is v
         assert np.abs(v - dense_hadamard(d) @ x).max() < 1e-12
 
-    @pytest.mark.parametrize("d", CUTOFF_DIMS)
+    @pytest.mark.parametrize("d", DIMS)
     def test_block_in_place_matches_dense_hadamard(self, d):
         X = np.random.default_rng(d + 1).standard_normal((5, d))
         A = X.copy()
         assert _fwht_last_axis(A) is A
         assert np.abs(A - X @ dense_hadamard(d)).max() < 1e-12
 
-    def test_dense_path_agrees_with_butterfly_at_cutoff(self):
-        x = np.random.default_rng(7).standard_normal((3, DENSE_FWHT_MAX_D))
-        assert np.abs(_fwht_last_axis(x.copy()) - _butterfly(x.copy())).max() < 1e-12
+    @pytest.mark.parametrize("d", [32, 128])  # one block, two blocks
+    def test_strided_view_is_transformed_in_place(self, d):
+        X = np.random.default_rng(3).standard_normal((4, 2 * d))
+        A = X.copy()
+        view = A[:, ::2]
+        assert _fwht_last_axis(view) is view
+        assert np.abs(A[:, ::2] - X[:, ::2] @ dense_hadamard(d)).max() < 1e-12
+        assert np.array_equal(A[:, 1::2], X[:, 1::2])
 
 
 class TestSigns:
@@ -245,6 +257,13 @@ class TestEmbed:
         proj = sample_projection(params.k, params.d, params.q, params.seed)
         assert np.array_equal(embed(x, params), embed_with(x, diag, proj))
 
+    def test_embed_with_matches_embed_d1024(self):
+        params = JlParams(d=1024, k=64, eps=0.2, q=0.05, seed=29)
+        x = np.random.default_rng(3).standard_normal(1024)
+        diag = sample_signs(params.d, params.seed)
+        proj = sample_projection(params.k, params.d, params.q, params.seed)
+        assert np.array_equal(embed(x, params), embed_with(x, diag, proj))
+
     def test_chi_square_mean(self):
         # d=2, k=1, q=1, unit x: squared output is chi^2_1; mean near 1
         x = np.array([1.0, 0.0])
@@ -273,6 +292,90 @@ class TestEmbed:
     def test_invalid_params(self, kwargs):
         with pytest.raises(ParameterError):
             JlParams(**kwargs)
+
+
+def hadamard_rows(X):
+    """X @ H_d from the explicit recursion; H_d = H_a (x) H_b once dense H_d grows large."""
+    n, d = X.shape
+    if d <= 1024:
+        return X @ dense_hadamard(d)
+    a = 1 << ((d.bit_length() - 1) // 2)
+    Ha, Hb = dense_hadamard(a), dense_hadamard(d // a)
+    return (Ha @ X.reshape(n, a, d // a) @ Hb.T).reshape(n, d)
+
+
+def dense_phd(X, diag, proj):
+    """k^{-1/2} P H D x for each row x of X, with P written out densely."""
+    P = np.zeros((proj.k, proj.d))
+    for i in range(proj.k):
+        cols, weights = proj.row(i)
+        P[i, cols] = weights
+    return hadamard_rows(X * diag.signs) @ P.T * proj.k**-0.5
+
+
+class TestApplyPhd:
+    @pytest.mark.parametrize("d", [1, 2, 64, 128, 1024, 16384])  # 1, 1, 1, 2, 2 and 3 blocks
+    def test_matches_dense_formula(self, d):
+        k, q = min(d, 24), 1.0 if d <= 2 else 0.3
+        diag, proj = sample_signs(d, seed=d), sample_projection(k, d, q, seed=d)
+        X = np.random.default_rng(d).standard_normal((40, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        # one row takes the gather, 40 rows the dense copy of P
+        assert not _dense_projection_pays(1, proj.nnz, k * d)
+        assert _dense_projection_pays(40, proj.nnz, k * d)
+        want = dense_phd(X, diag, proj)
+        assert np.abs(apply_phd(X, diag, proj) - want).max() < 1e-12
+        assert np.abs(apply_phd(X[:1], diag, proj) - want[:1]).max() < 1e-12
+
+    # the first takes the dense copy of P, the second (k * d above the cap) the gather
+    @pytest.mark.parametrize("d, k, q", [(1024, 32, 0.05), (16384, 256, 0.002)])
+    def test_rows_straddling_chunks(self, d, k, q):
+        chunk_rows = _CHUNK_CELLS // d
+        diag, proj = sample_signs(d, seed=4), sample_projection(k, d, q, seed=4)
+        assert (k * d <= DENSE_PROJECTION_MAX_CELLS) == _dense_projection_pays(2 * chunk_rows + 3, proj.nnz, k * d)
+        X = np.random.default_rng(4).standard_normal((2 * chunk_rows + 3, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        Y = apply_phd(X, diag, proj)
+        assert np.abs(Y - dense_phd(X, diag, proj)).max() < 1e-12
+        alone = np.array([embed_with(x, diag, proj) for x in X[chunk_rows - 1 : chunk_rows + 1]])
+        assert np.abs(Y[chunk_rows - 1 : chunk_rows + 1] - alone).max() < 1e-12
+        assert np.array_equal(apply_phd(X, diag, proj, workers=2), Y)
+
+    def test_more_workers_than_cores_with_fast_thread_switches(self):
+        d, k = 1024, 32
+        diag, proj = sample_signs(d, seed=8), sample_projection(k, d, 0.05, seed=8)
+        X = np.random.default_rng(8).standard_normal((9 * (_CHUNK_CELLS // d) + 7, d))
+        want = apply_phd(X, diag, proj)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = apply_phd(X, diag, proj, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    def test_read_only_input_and_no_rows(self):
+        d, k = 64, 8
+        diag, proj = sample_signs(d, seed=1), sample_projection(k, d, 0.5, seed=1)
+        X = np.random.default_rng(1).standard_normal((3, d))
+        X.setflags(write=False)
+        assert np.abs(apply_phd(X, diag, proj) - dense_phd(X, diag, proj)).max() < 1e-12
+        assert apply_phd(np.empty((0, d)), diag, proj).shape == (0, k)
+
+    def test_rejects_bad_input(self):
+        diag, proj = sample_signs(8, seed=0), sample_projection(2, 8, 0.5, seed=0)
+        with pytest.raises(DimensionError):
+            apply_phd(np.zeros(8), diag, proj)
+        with pytest.raises(DimensionError):
+            apply_phd(np.zeros((2, 4)), diag, proj)
+        with pytest.raises(ParameterError):
+            apply_phd(np.zeros((2, 8), dtype=np.float32), diag, proj)
+
+    def test_dense_projection_rule(self):
+        # a single row never pays for the copy; no copy is larger than the cap
+        assert not any(_dense_projection_pays(1, nnz, 4096) for nnz in (0, 64, 4096))
+        assert _dense_projection_pays(256, 4096, 1 << 18)
+        assert not _dense_projection_pays(10**6, 1 << 22, DENSE_PROJECTION_MAX_CELLS + 1)
 
 
 class TestDenseReference:

@@ -45,7 +45,6 @@ __all__ = [
     "CSV_HEADER",
     "BenchConfig",
     "BenchRecord",
-    "count_nnz",
     "empty_projection",
     "run_bench",
     "records_to_csv",
@@ -103,11 +102,6 @@ class BenchRecord:
             raise ParameterError("times must be >= 0")
         if self.nnz_observed < 0:
             raise ParameterError("nnz must be >= 0")
-
-
-def count_nnz(P: SparseProjection) -> int:
-    """Exact stored-entry count of a sparse projection."""
-    return P.nnz
 
 
 def empty_projection(k: int, d: int) -> SparseProjection:

@@ -38,8 +38,8 @@ from .transform import (
     _draw_projection_arrays,
     _draw_signs,
     _fwht_last_axis,
+    _geometric_positions,
     _phd,
-    _project_core,
 )
 
 Z95 = 1.96
@@ -404,6 +404,84 @@ def _norm_window_fails(ratio_sq: np.ndarray, eps: float, criterion: NormCriterio
     return (r <= 1.0 - eps) | (r >= 1.0 + eps)
 
 
+# Expected cells per sub-chunk of single-vector trials: sign cells (t * d) or
+# sampled entries of P (t * k * d * q), whichever is larger; 7 trials at
+# d = 1024, k = 267, q = 0.016.  Scratch arrays of 256 KB stay in cache: there,
+# on a 2-core x86 box, a trial took about 200 us at 2^15 and 260-295 us at
+# 2^16 to 2^18.
+_TRIAL_CHUNK_CELLS = 1 << 15
+
+# The constant c of the Gram-distance margin; see _pairwise_trial_fails.
+_GRAM_MARGIN = 8.0
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+
+
+def _pair_sq_distances(Y: np.ndarray) -> np.ndarray:
+    """``||Y[i] - Y[j]||^2`` for the pairs ``i < j`` in ``np.triu_indices`` order.
+
+    Bit-identical to ``((Y[ii] - Y[jj]) ** 2).sum(axis=1)`` (the same
+    differences, squares and per-row reduction), one row block ``Y[i] -
+    Y[i+1:]`` at a time, so scratch memory is O(n * d), not O(n^2 * d).
+    """
+    n = len(Y)
+    out = np.empty(n * (n - 1) // 2)
+    lo = 0
+    for i in range(n - 1):
+        diff = Y[i] - Y[i + 1 :]
+        out[lo : lo + len(diff)] = (diff**2).sum(axis=1)
+        lo += len(diff)
+    return out
+
+
+def _pairwise_trial_fails(
+    emb: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    true_sq: np.ndarray,
+    eps: float,
+    criterion: NormCriterion,
+    margin: float = _GRAM_MARGIN,
+) -> bool:
+    """Whether some pair ``(ii, jj)`` of the embedded points ``emb`` leaves the window.
+
+    The verdict equals that of the direct ``((emb[ii] - emb[jj]) ** 2).sum(axis=1)
+    / true_sq``: distances come from the Gram matrix ``G = emb emb^T`` as
+    ``est = G_ii + G_jj - 2 G_ij``, and only pairs within a rounding margin of a
+    window edge are recomputed with the direct formula.
+
+    Margin (u the unit roundoff, S = G_ii + G_jj + |est| as computed, D the
+    exact ||e_i - e_j||^2): a k-term dot product in any order is off by at most
+    k u ||e_i|| ||e_j|| (Higham, Thm 3.1), so with the two operations forming
+    est, |est - D| <= (2k + 2) u S.  The direct formula sums k non-negative
+    terms with relative error 3u each, so it is within (k + 3) u D of D.  After
+    the divisions the two ratios differ by at most (3k + 8) u S / true_sq.
+    Squared edges, the square root and the comparisons add a few u times the
+    edge, and S / true_sq is at least about half the edge wherever the ratio
+    is near it.  So c (k + 4) u S / true_sq with c = ``margin`` = 8 covers it
+    all; a smallest subnormal per term covers underflow.  Non-finite values
+    lie in no sure region, so they are recomputed.
+    """
+    n, k = emb.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are recomputed below
+        G = emb @ emb.T
+        g = G.diagonal()
+        gi, gj = g[ii], g[jj]
+        est = gi + gj - 2.0 * G.ravel()[ii * n + jj]
+        ratio = est / true_sq
+        slack = margin * (k + 4) * (_UNIT_ROUNDOFF * (gi + gj + np.abs(est)) + _SMALLEST_SUBNORMAL) / true_sq
+    lo, hi = 1.0 - eps, 1.0 + eps
+    if criterion is NormCriterion.NORM:
+        lo, hi = lo * lo, hi * hi
+    if np.any((ratio < lo - slack) | (ratio > hi + slack)):
+        return True
+    near = np.flatnonzero(~((ratio > lo + slack) & (ratio < hi - slack)))
+    if not near.size:
+        return False
+    exact = ((emb[ii[near]] - emb[jj[near]]) ** 2).sum(axis=1)
+    return bool(np.any(_norm_window_fails(exact / true_sq[near], eps, criterion)))
+
+
 def estimate_failure_rate(
     params: JlParams,
     source,
@@ -418,6 +496,18 @@ def estimate_failure_rate(
     ``rng -> vector`` drawn once per trial, or (with ``pairwise=True``) a
     fixed point set of shape (n_points, d); in pairwise mode a trial fails
     when any pairwise distance is distorted.
+
+    Single-vector trials go in sub-chunks of about 2^15 cells (sized from the
+    shapes only).  A chunk draws its vectors (for a callable source), its signs
+    and, with one gap-skipping call, the supports of all its projections.  Given
+    the support S_i, row i of ``P H D x`` is ``N(0, sum_{j in S_i} (HDx)_j^2 / q)``,
+    so each trial draws k Gaussians instead of one weight per entry of P.
+    Pairwise trials embed the points with :func:`fastjl.transform._phd` and
+    take distances from the Gram matrix, recomputing pairs near a window edge
+    with the direct formula, so every verdict is the direct formula's.
+    Memory is O(chunk) for single vectors and O(n^2 + n k) for n points.
+    Block ``b`` of :data:`fastjl.rng.TRIAL_BLOCK` trials draws from
+    ``substream(seed, b)``, so counts are the same at every worker count.
     """
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
@@ -428,7 +518,7 @@ def estimate_failure_rate(
         if points.shape[0] < 2:
             raise ParameterError("pairwise mode needs at least two points")
         ii, jj = np.triu_indices(points.shape[0], k=1)
-        true_sq = ((points[ii] - points[jj]) ** 2).sum(axis=1)
+        true_sq = _pair_sq_distances(points)
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
 
@@ -438,8 +528,7 @@ def estimate_failure_rate(
             for _ in range(hi - lo):
                 signs = _draw_signs(rng, d)
                 emb = _phd(points, signs, *_draw_projection_arrays(rng, k, d, q), k)
-                diff_sq = ((emb[ii] - emb[jj]) ** 2).sum(axis=1)
-                failures += bool(np.any(_norm_window_fails(diff_sq / true_sq, eps, criterion)))
+                failures += _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion)
             return failures
 
         return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
@@ -451,31 +540,37 @@ def estimate_failure_rate(
         fixed_sq = float(fixed @ fixed)
         if fixed_sq == 0.0:
             raise ParameterError("zero vector: norm criterion undefined")
+    log_d = d.bit_length() - 1
+    step = max(1, int(_TRIAL_CHUNK_CELLS // max(d, k * d * q)))
+
+    def one_chunk(rng: np.random.Generator, t: int) -> int:
+        if fixed is None:
+            x = np.empty((t, d))
+            for r in range(t):
+                v = np.asarray(source(rng), dtype=np.float64)
+                if v.shape != (d,):
+                    raise DimensionError(f"generated vector must have length {d}, got {v.shape}")
+                x[r] = v
+            x_sq = np.einsum("ij,ij->i", x, x)
+            if not np.all(x_sq):
+                raise ParameterError("zero vector: norm criterion undefined")
+        else:
+            x, x_sq = fixed, fixed_sq
+        u = _draw_signs(rng, (t, d))  # becomes (H D x)^2, one row per trial
+        u *= x
+        _fwht_last_axis(u)
+        u *= u
+        pos = _geometric_positions(rng, t * k * d, q)  # cells of t stacked k x d supports
+        rows = pos >> log_d
+        cells = ((rows // k) << log_d) | (pos & (d - 1))  # (trial, column) of each entry
+        var = np.bincount(rows, weights=u.ravel()[cells], minlength=t * k)
+        var *= rng.standard_normal(t * k) ** 2
+        ratio_sq = var.reshape(t, k).sum(axis=1) / (q * k * x_sq)
+        return int(np.count_nonzero(_norm_window_fails(ratio_sq, eps, criterion)))
 
     def one_block(index: int, lo: int, hi: int) -> int:
         rng = substream(params.seed, index)
-        count = hi - lo
-        u = _draw_signs(rng, (count, d))  # becomes H D x, one row per trial
-        if fixed is not None:
-            u *= fixed
-            _fwht_last_axis(u)
-            x_sq = fixed_sq
-        failures = 0
-        for t in range(count):
-            if fixed is None:
-                x = np.asarray(source(rng), dtype=np.float64)
-                if x.shape != (d,):
-                    raise DimensionError(f"generated vector must have length {d}, got {x.shape}")
-                x_sq = float(x @ x)
-                if x_sq == 0.0:
-                    raise ParameterError("zero vector: norm criterion undefined")
-                u[t] *= x
-                _fwht_last_axis(u[t])
-            indptr, cols, weights = _draw_projection_arrays(rng, k, d, q)
-            y = _project_core(indptr, cols, weights, u[t])
-            ratio_sq = (y @ y) / (k * x_sq)
-            failures += bool(_norm_window_fails(np.asarray(ratio_sq), eps, criterion))
-        return failures
+        return sum(one_chunk(rng, min(step, hi - start)) for start in range(lo, hi, step))
 
     return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
 
@@ -845,16 +940,22 @@ class MgfPremiseEstimate:
 
 
 def mgf_premise_estimate(trials: int, seed: int, workers: int = 1) -> MgfPremiseEstimate:
-    """Empirical E[exp(0.3 (N^2 - 1))] with its standard error.
+    """Importance-sampled E[exp(0.3 (N^2 - 1))] with its standard error.
 
     PASS when the mean is within 3 standard errors of the closed form and
     below e (the premise that makes centered Gaussian squares
-    sub-exponential at rate 0.3).
+    sub-exponential at rate 0.3).  Plain draws of exp(0.3 (N^2 - 1)) have
+    infinite variance (E[exp(0.6 N^2)] diverges), so their standard error is
+    no yardstick.  Drawing z from N(0, 2) instead, with weight
+    phi(z) / phi_2(z) = sqrt(2) exp(-z^2 / 4), each sample is
+    sqrt(2) exp(0.3 (z^2 - 1) - z^2 / 4); under N(0, 2) its second moment
+    integrates exp(-0.15 z^2), which is finite.
     """
 
     def one_block(index: int, lo: int, hi: int):
         rng = substream(seed, index)
-        x = np.exp(MGF_RATE * (rng.standard_normal(hi - lo) ** 2 - 1.0))
+        z_sq = 2.0 * rng.standard_normal(hi - lo) ** 2
+        x = math.sqrt(2.0) * np.exp((MGF_RATE - 0.25) * z_sq - MGF_RATE)
         return float(x.sum()), float((x * x).sum())
 
     parts = map_blocks(one_block, block_ranges(trials), workers)

@@ -12,7 +12,6 @@ from fastjl.bench import (
     METHOD_DENSE,
     METHOD_FASTJL_AC,
     METHOD_FASTJL_NEW,
-    count_nnz,
     empty_projection,
     records_to_csv,
     run_bench,
@@ -22,16 +21,16 @@ from fastjl.sparsity import expected_nnz
 
 class TestNnz:
     def test_q_one_is_dense(self):
-        assert count_nnz(sample_projection(3, 8, 1.0, seed=0)) == 24
+        assert sample_projection(3, 8, 1.0, seed=0).nnz == 24
 
     def test_empty_projection(self):
         P = empty_projection(4, 16)
-        assert count_nnz(P) == 0
+        assert P.nnz == 0
         assert np.array_equal(embed_with(np.ones(16), sample_signs(16, 0), P), np.zeros(4))
 
     def test_matches_expectation_over_seeds(self):
         k, d, q = 32, 512, 0.05
-        counts = [count_nnz(sample_projection(k, d, q, seed=s)) for s in range(60)]
+        counts = [sample_projection(k, d, q, seed=s).nnz for s in range(60)]
         mean = expected_nnz(k, d, q)
         sigma = math.sqrt(k * d * q * (1 - q) / len(counts))
         assert abs(np.mean(counts) - mean) < 3 * sigma

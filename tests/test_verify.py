@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fastjl import DomainError, JlParams, NormCriterion, ParameterError
+from fastjl import DimensionError, DomainError, JlParams, NormCriterion, ParameterError, embed
 from fastjl import verify
 from fastjl.verify import (
     BoundSpec,
@@ -34,6 +35,7 @@ from fastjl.verify import (
     wilson_interval,
 )
 from fastjl.instances import random_unit_vector
+from fastjl.rng import TRIAL_BLOCK, block_ranges, derive_seed, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
 
 from helpers import wilson_reference
@@ -138,6 +140,113 @@ class TestFailureRate:
         params = JlParams(d=8, k=2, eps=0.5, q=1.0, seed=0)
         with pytest.raises(ParameterError):
             estimate_failure_rate(params, points, 10, pairwise=True)
+
+    def test_callable_source_runs_through_the_chunk_loop(self):
+        # a source that ignores its generator leaves the stream of the fixed-vector path
+        params = JlParams(d=64, k=20, eps=0.3, q=0.5, seed=4)
+        x = random_unit_vector(64, 2)
+        calls = []
+
+        def source(rng):
+            calls.append(rng)
+            return x
+
+        est = estimate_failure_rate(params, source, 1000)
+        assert est == estimate_failure_rate(params, x, 1000)
+        assert len(calls) == 1000 and all(isinstance(rng, np.random.Generator) for rng in calls)
+
+    def test_callable_source_is_validated(self):
+        params = JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0)
+        with pytest.raises(DimensionError):
+            estimate_failure_rate(params, lambda rng: np.ones(4), 10)
+        with pytest.raises(ParameterError):
+            estimate_failure_rate(params, lambda rng: np.zeros(8), 10)
+
+    def test_workers_agree_across_partial_chunks_and_blocks(self):
+        # sub-chunks of 2^15 // (k d q) = 51 trials: neither 4096 nor 61 is a multiple
+        params = JlParams(d=64, k=20, eps=0.3, q=0.5, seed=17)
+        x = random_unit_vector(64, 3)
+        trials = TRIAL_BLOCK + 61
+        a = estimate_failure_rate(params, x, trials, workers=1)
+        b = estimate_failure_rate(params, x, trials, workers=4)
+        assert a == b and a.trials == trials
+
+    def test_conditional_law_matches_direct_embedding(self):
+        # the rate drawn from the conditional law against embed at fresh seeds
+        d, k, q, eps = 64, 8, 0.25, 0.3
+        x = random_unit_vector(d, 5)
+        est = estimate_failure_rate(JlParams(d=d, k=k, eps=eps, q=q, seed=23), x, 20_000)
+        direct_trials = 5000
+        direct = 0
+        for seed in range(direct_trials):
+            y = embed(x, JlParams(d=d, k=k, eps=eps, q=q, seed=10_000 + seed))
+            direct += not 1.0 - eps < float(y @ y) < 1.0 + eps
+        p_direct = direct / direct_trials
+        pooled = (est.successes + direct) / (est.trials + direct_trials)
+        sigma = math.sqrt(pooled * (1 - pooled) * (1 / est.trials + 1 / direct_trials))
+        assert 0.1 < pooled < 0.9
+        assert abs(est.p_hat - p_direct) < 4 * sigma
+
+
+class TestPairwiseGram:
+    @pytest.mark.parametrize("n", [2, 3, 128])
+    def test_row_block_distances_match_the_gather(self, n):
+        Y = np.random.default_rng(n).standard_normal((n, 48)) * 10.0 ** np.arange(-3, 3, 0.125)
+        ii, jj = np.triu_indices(n, k=1)
+        expected = ((Y[ii] - Y[jj]) ** 2).sum(axis=1)
+        assert np.array_equal(verify._pair_sq_distances(Y), expected)
+
+    # success counts of the direct formula ((emb[ii] - emb[jj]) ** 2).sum(axis=1),
+    # recorded before the Gram distances replaced it
+    @pytest.mark.parametrize(
+        "seed,eps,criterion,k,count",
+        [
+            (11, 0.5, NormCriterion.NORM, 32, 18),
+            (12, 0.5, NormCriterion.SQUARED_NORM, 64, 95),
+            (13, 0.3, NormCriterion.NORM, 64, 60),
+        ],
+    )
+    def test_counts_match_the_direct_formula(self, monkeypatch, seed, eps, criterion, k, count):
+        points = np.random.default_rng(5).standard_normal((40, 64))
+        params = JlParams(d=64, k=k, eps=eps, q=0.25, seed=seed, norm_criterion=criterion)
+        assert estimate_failure_rate(params, points, 100, pairwise=True).successes == count
+        # a huge margin makes every pair borderline, so every verdict is recomputed
+        forced = functools.partial(verify._pairwise_trial_fails, margin=1e300)
+        monkeypatch.setattr(verify, "_pairwise_trial_fails", forced)
+        assert estimate_failure_rate(params, points, 100, pairwise=True).successes == count
+
+    def test_near_duplicate_points_match_the_direct_formula(self):
+        points = np.random.default_rng(5).standard_normal((12, 64))
+        points[1] = points[0] + 1e-7
+        params = JlParams(d=64, k=64, eps=0.5, q=0.25, seed=4)
+        assert estimate_failure_rate(params, points, 100, pairwise=True).successes == 40
+        # alone, the near pair's Gram distance is mostly rounding error, so the recheck decides
+        for seed, count in ((4, 0), (5, 1)):
+            params = JlParams(d=64, k=64, eps=0.5, q=0.25, seed=seed)
+            assert estimate_failure_rate(params, points[:2], 100, pairwise=True).successes == count
+
+    def test_verdict_matches_the_direct_formula_per_trial(self):
+        rng = np.random.default_rng(8)
+        points = rng.standard_normal((10, 32))
+        ii, jj = np.triu_indices(10, k=1)
+        true_sq = verify._pair_sq_distances(points)
+        verdicts = set()
+        for _ in range(200):
+            emb = points @ rng.standard_normal((32, 6)) / math.sqrt(6)
+            ratio = ((emb[ii] - emb[jj]) ** 2).sum(axis=1) / true_sq
+            for criterion in NormCriterion:
+                direct = bool(np.any(verify._norm_window_fails(ratio, 0.6, criterion)))
+                assert verify._pairwise_trial_fails(emb, ii, jj, true_sq, 0.6, criterion) is direct
+                verdicts.add(direct)
+        assert verdicts == {True, False}
+
+    def test_gram_overflow_falls_back_to_the_direct_formula(self):
+        # G_00 + G_11 overflows to inf, but the difference of the rows is (0, -1)
+        emb = np.array([[1e154, 0.0], [1e154, 1.0]])
+        ii, jj = np.triu_indices(2, k=1)
+        assert not verify._pairwise_trial_fails(emb, ii, jj, np.ones(1), 0.5, NormCriterion.SQUARED_NORM)
+        emb[1, 1] = 2.0
+        assert verify._pairwise_trial_fails(emb, ii, jj, np.ones(1), 0.5, NormCriterion.SQUARED_NORM)
 
 
 class TestCoordExceedance:
@@ -492,6 +601,21 @@ class TestMgfPremise:
 
     def test_deterministic(self):
         assert mgf_premise_estimate(50_000, seed=21) == mgf_premise_estimate(50_000, seed=21)
+
+    def test_seed_where_plain_draws_fail_passes(self):
+        # the stream of verify-lemmas --seed 902
+        trials, seed = 10**6, derive_seed(902, 2)
+        est = mgf_premise_estimate(trials, seed)
+        assert est.verdict is Verdict.PASS
+        # plain draws of exp(0.3 (N^2 - 1)) from the same normals: infinite variance, so
+        # their 3-standard-error test fails here although the mean is fine
+        parts = []
+        for index, lo, hi in block_ranges(trials):
+            x = np.exp(verify.MGF_RATE * (substream(seed, index).standard_normal(hi - lo) ** 2 - 1.0))
+            parts.append((x.sum(), (x * x).sum()))
+        mean = math.fsum(p[0] for p in parts) / trials
+        var = (math.fsum(p[1] for p in parts) - trials * mean * mean) / (trials - 1)
+        assert abs(mean - est.target) > 3.0 * math.sqrt(var / trials)
 
 
 class TestRecords:

@@ -22,23 +22,26 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import bench as bench_mod
 from . import verify
 from .errors import FastJlError, ParameterError
 from .instances import (
     _atomic_write_bytes,
-    VectorDataset,
+    VectorReader,
     pad_to_power_of_two,
     random_unit_vector,
     read_vectors,
-    write_vectors,
+    vector_writer,
 )
 from .rng import derive_seed
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
-from .transform import JlParams, NormCriterion, apply_phd, sample_projection, sample_signs
+from .transform import JlParams, NormCriterion, _PhdKernel, sample_projection, sample_signs
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -305,18 +308,29 @@ def _resolve_k(config: RunConfig) -> int:
 
 
 def _run_embed(config: RunConfig) -> int:
-    dataset = pad_to_power_of_two(read_vectors(config.in_path))
-    d = dataset.d
-    q = _resolve_q(config, d)
-    k = _resolve_k(config)
-    if k > d:
-        raise ParameterError(f"derived k={k} exceeds padded dimension d={d}")
-    diag = sample_signs(d, config.seed)
-    proj = sample_projection(k, d, q, config.seed)
-    embedded = apply_phd(dataset.vectors, diag, proj, workers=config.workers)
-    write_vectors(config.out_path, VectorDataset(d=k, vectors=embedded))
+    with VectorReader(config.in_path) as reader:
+        d = 1 << (reader.d - 1).bit_length()  # zero-padded to a power of two inside the kernel
+        q = _resolve_q(config, d)
+        k = _resolve_k(config)
+        if k > d:
+            raise ParameterError(f"derived k={k} exceeds padded dimension d={d}")
+        diag = sample_signs(d, config.seed)
+        proj = sample_projection(k, d, q, config.seed)
+        kernel = _PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, reader.count)
+        # a batch is whole kernel chunks, so chunk boundaries stay at multiples
+        # of kernel.step from row 0 and the output bytes match one apply_phd call
+        workers = max(1, config.workers)
+        batch = workers * kernel.step
+        Y = np.empty((min(batch, reader.count), k))
+        with (
+            ThreadPoolExecutor(max_workers=workers) as pool,
+            vector_writer(config.out_path, k, reader.count) as write,
+        ):
+            for X in reader.blocks(batch):
+                kernel.apply(X, Y[: len(X)], pool)
+                write(Y[: len(X)])
     print(
-        f"embed: {len(dataset)} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
+        f"embed: {reader.count} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
         f"seed={config.seed} -> {config.out_path}"
     )
     return 0
@@ -510,7 +524,8 @@ def _run_verify_lower(config: RunConfig) -> int:
     if config.total_mass:
         seed = derive_seed(config.seed, 2)
         t0 = time.perf_counter()
-        result = verify.total_mass_statistic(eps, delta, d, q, config.trials, seed)
+        result = verify.total_mass_statistic(eps, delta, d, q, config.trials, seed,
+                                              workers=config.workers)
         records.append(
             verify.make_record(
                 "total_mass_deviation",

@@ -16,16 +16,23 @@ Two file formats are supported, dispatched on the file suffix:
   for exact float64 round-trips).
 
 Readers reject NaN and infinity, naming the first bad row (1-based).
+:func:`read_vectors` and :func:`write_vectors` move a whole dataset;
+:class:`VectorReader` and :func:`vector_writer` move it a block of rows at
+a time, which CLI ``embed`` uses.  A ``.fjlv`` input then streams in
+O(block) memory, a ``.csv`` input is still read whole, and output of
+either format is written block by block.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -55,6 +62,8 @@ __all__ = [
     "random_unit_vector",
     "read_vectors",
     "write_vectors",
+    "VectorReader",
+    "vector_writer",
     "pad_to_power_of_two",
 ]
 
@@ -144,11 +153,17 @@ class VectorDataset:
         return int(self.vectors.shape[0])
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: Path) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` only when the ``with`` body ends without an error.
+
+    It is written as a temporary file beside ``path``; on an error the
+    temporary file is removed and ``path`` is left as it was.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -156,48 +171,97 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(payload)
+
+
+def _check_suffix(path: Path) -> None:
+    if path.suffix not in (".fjlv", ".csv"):
+        raise DatasetFormatError(f"unsupported vector-file suffix {path.suffix!r} (use .fjlv or .csv)")
+
+
+@contextlib.contextmanager
+def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[np.ndarray], None]]:
+    """Write a ``count`` x ``d`` vector file block by block: yields ``write(block)``.
+
+    The suffix selects the format (.fjlv binary, .csv text).  Blocks go
+    straight into the temporary file of an atomic write, with no copy of
+    the whole set; ``path`` is replaced only if exactly ``count`` rows were
+    written and no error escaped, and is otherwise left as it was.
+    """
+    path = Path(path)
+    _check_suffix(path)
+    binary = path.suffix == ".fjlv"
+    written = 0
+
+    def write(block: np.ndarray) -> None:
+        nonlocal written
+        block = np.ascontiguousarray(block, dtype="<f8")
+        if block.ndim != 2 or block.shape[1] != d:
+            raise DimensionError(f"block must have shape (rows, {d}), got {block.shape}")
+        written += len(block)
+        if binary:
+            fh.write(block.data)
+        else:
+            fh.write("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in block).encode("ascii"))
+
+    with _atomic_file(path) as fh:
+        if binary:
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, d, count))
+        yield write
+        if written != count:
+            raise DimensionMismatchError(f"{path}: {written} rows written, {count} declared")
+
+
 def write_vectors(path: str | Path, dataset: VectorDataset) -> None:
     """Write a dataset; the suffix selects the format (.fjlv binary, .csv text)."""
-    path = Path(path)
-    vectors = np.ascontiguousarray(dataset.vectors, dtype=np.float64)
-    if path.suffix == ".fjlv":
-        header = _HEADER.pack(MAGIC, FORMAT_VERSION, dataset.d, len(dataset))
-        payload = header + vectors.astype("<f8", copy=False).tobytes()
-    elif path.suffix == ".csv":
-        lines = (",".join(f"{v:.17g}" for v in row) for row in vectors)
-        payload = ("\n".join(lines) + "\n").encode("ascii")
-    else:
-        raise DatasetFormatError(f"unsupported vector-file suffix {path.suffix!r} (use .fjlv or .csv)")
-    _atomic_write_bytes(path, payload)
+    with vector_writer(path, dataset.d, len(dataset)) as write:
+        write(dataset.vectors)
 
 
-def _read_binary(path: Path, raw: bytes) -> VectorDataset:
-    if len(raw) == 0:
+def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
+    """``(d, count)`` from the first bytes of a ``.fjlv`` file of ``size`` bytes.
+
+    Rejects a bad header, and a payload whose size disagrees with it, before
+    any row is read.
+    """
+    if size == 0:
         raise DatasetFormatError(f"{path}: empty file")
-    if len(raw) < _HEADER.size:
-        raise DatasetFormatError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, version, d, count = _HEADER.unpack_from(raw)
+    if size < _HEADER.size:
+        raise DatasetFormatError(f"{path}: truncated header ({size} bytes)")
+    magic, version, d, count = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise DatasetFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise DatasetFormatError(f"{path}: unsupported format version {version}")
     if d < 1:
         raise DatasetFormatError(f"{path}: header declares d={d}")
-    payload = len(raw) - _HEADER.size
+    payload = size - _HEADER.size
     if payload != count * d * 8:
         have = payload // 8
         row = have // d + 1
         raise DimensionMismatchError(
             f"{path}: header declares {count} x {d} values but payload holds {have} (row {row})"
         )
+    return d, count
+
+
+def _check_finite(path: Path, rows: np.ndarray, first: int) -> None:
+    """Reject ``rows`` if one holds NaN or infinity, naming it (1-based, counting from row ``first``)."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise DatasetFormatError(f"{path}: row {first + int(np.argmin(finite)) + 1} has a non-finite value")
+
+
+def _read_binary(path: Path, raw: bytes) -> VectorDataset:
+    d, count = _parse_header(path, raw, len(raw))
     # a read-only view of ``raw``, not a copy; callers that write make their own
     vectors = np.frombuffer(raw, dtype="<f8", count=count * d, offset=_HEADER.size)
     vectors = vectors.astype(np.float64, copy=False).reshape(count, d)
     step = max(1, _CHUNK_CELLS // d)  # checked a chunk at a time: no file-sized mask
     for lo in range(0, count, step):
-        finite = np.isfinite(vectors[lo : lo + step]).all(axis=1)
-        if not finite.all():
-            raise DatasetFormatError(f"{path}: row {lo + int(np.argmin(finite)) + 1} has a non-finite value")
+        _check_finite(path, vectors[lo : lo + step], lo)
     return VectorDataset(d=d, vectors=vectors, source=str(path))
 
 
@@ -232,12 +296,63 @@ def _read_csv(path: Path, raw: bytes) -> VectorDataset:
 def read_vectors(path: str | Path) -> VectorDataset:
     """Read a dataset written by :func:`write_vectors`."""
     path = Path(path)
+    _check_suffix(path)
     raw = path.read_bytes()
     if path.suffix == ".fjlv":
         return _read_binary(path, raw)
-    if path.suffix == ".csv":
-        return _read_csv(path, raw)
-    raise DatasetFormatError(f"unsupported vector-file suffix {path.suffix!r} (use .fjlv or .csv)")
+    return _read_csv(path, raw)
+
+
+class VectorReader:
+    """A vector file opened to be read a block of rows at a time.
+
+    ``d`` and ``count`` are known on opening.  A ``.fjlv`` file is checked
+    against its header at once and then streams from the open file through
+    one reused buffer, so memory is O(block).  A ``.csv`` file is parsed
+    whole (its shape is known only then) and handed out in blocks.  Use it
+    as a context manager, which closes the file.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._fh = None
+        if self.path.suffix != ".fjlv":
+            dataset = read_vectors(self.path)
+            self._vectors = dataset.vectors
+            self.d, self.count = dataset.d, len(dataset)
+            return
+        self._fh = open(self.path, "rb")
+        try:
+            size = os.fstat(self._fh.fileno()).st_size
+            self.d, self.count = _parse_header(self.path, self._fh.read(_HEADER.size), size)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "VectorReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """Consecutive blocks of at most ``rows`` rows, NaN and infinity rejected.
+
+        A ``.fjlv`` block is overwritten by the next one, so use it before
+        asking for the next.
+        """
+        if self._fh is None:
+            for lo in range(0, self.count, rows):
+                yield self._vectors[lo : lo + rows]
+            return
+        buf = np.empty((min(rows, self.count), self.d), dtype="<f8")
+        for lo in range(0, self.count, rows):
+            block = buf[: min(rows, self.count - lo)]
+            if self._fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+                raise DimensionMismatchError(f"{self.path}: payload ends before row {self.count}")
+            _check_finite(self.path, block, lo)
+            yield block.astype(np.float64, copy=False)
 
 
 def pad_to_power_of_two(dataset: VectorDataset) -> VectorDataset:

@@ -8,8 +8,10 @@ The embedding of a vector ``x`` is ``k^{-1/2} * P @ H @ D @ x`` where
   with probability ``q`` and carry weight ``N / sqrt(q)`` for a standard
   Gaussian ``N``.
 
-Every caller goes through one batched kernel, :func:`apply_phd`.  ``H_d`` is
-a Kronecker product of Sylvester blocks of size <= 64, each one BLAS product
+Many rows go through one batched kernel, :func:`apply_phd`, which prepares
+``(D, P)`` once and then applies it chunk by chunk; one vector (``embed``,
+``embed_with``) takes the kernel's one-row path directly.  ``H_d`` is a
+Kronecker product of Sylvester blocks of size <= 64, each one BLAS product
 (a cache-blocked FWHT after FFHT: Andoni, Indyk, Laarhoven, Razenshteyn and
 Schmidt, NeurIPS 2015); ``P`` is a gather, or a product with a dense copy.
 
@@ -21,13 +23,14 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import block_ranges, check_seed, map_blocks, substream
+from .rng import check_seed, substream
 
 # Key paths so that the sign diagonal, the sparse projection and the dense
 # reference matrix drawn from one seed are independent streams.
@@ -328,38 +331,78 @@ def _dense_projection_pays(rows: int, nnz: int, cells: int) -> bool:
     return cells <= DENSE_PROJECTION_MAX_CELLS and cells * (1 / 20 + rows / 200) + 2.5 * nnz < rows * nnz
 
 
-def _phd(X, signs, indptr, cols, weights, k: int, workers: int = 1) -> np.ndarray:
-    """The kernel behind :func:`apply_phd`, ``embed`` and the trial loops; arguments are already checked."""
-    n, d = X.shape
-    weights = weights * k**-0.5
-    dense = _dense_projection_pays(n, len(cols), k * d)
-    if dense:
-        Pt = np.zeros((d, k))
-        Pt[cols, np.repeat(np.arange(k), np.diff(indptr))] = weights
-    Y = np.empty((n, k))
+class _PhdKernel:
+    """``k^{-1/2} P H D`` made ready for ``rows`` rows: the prepare step of :func:`_phd`.
 
-    def one_chunk(_index: int, lo: int, hi: int) -> None:
-        if dense:
-            Y[lo:hi] = _fwht_last_axis(X[lo:hi] * signs) @ Pt
+    It scales the weights by ``k^{-1/2}`` and decides once, on the total row
+    count, whether a dense copy of P pays for itself; a caller that streams
+    its rows in batches (CLI ``embed``) so builds the copy once, and every
+    batch takes the same path as the whole set would.
+    """
+
+    def __init__(self, signs, indptr, cols, weights, k: int, rows: int) -> None:
+        d = len(signs)
+        self.signs, self.indptr, self.cols = signs, indptr, cols
+        self.weights = weights * k**-0.5
+        self.step = max(1, _CHUNK_CELLS // d)
+        self.Pt = None
+        if _dense_projection_pays(rows, len(cols), k * d):
+            self.Pt = np.zeros((d, k))
+            self.Pt[cols, np.repeat(np.arange(k), np.diff(indptr))] = self.weights
+
+    def apply(self, X: np.ndarray, Y: np.ndarray, pool: Executor | None = None) -> None:
+        """Write the embeddings of the rows of ``X[n, d_raw]``, ``d_raw <= d``, into ``Y[n, k]``.
+
+        Rows go in chunks of ``step`` from row 0, on ``pool``'s threads when
+        given; chunk boundaries depend on the shapes only, so ``Y`` is the same
+        at every worker count.
+        """
+        bounds = range(0, len(X), self.step)
+        if pool is None or len(bounds) <= 1:
+            for lo in bounds:
+                self._chunk(X[lo : lo + self.step], Y[lo : lo + self.step])
+        else:
+            list(pool.map(lambda lo: self._chunk(X[lo : lo + self.step], Y[lo : lo + self.step]), bounds))
+
+    def _chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
+        # the zero-padded, signed rows; a padded cell holds 0 * sign, so -0.0
+        # under a negative sign, exactly as in a padded copy of the input
+        d_raw = X.shape[1]
+        U = np.empty((len(X), len(self.signs)))
+        np.multiply(X, self.signs[:d_raw], out=U[:, :d_raw])
+        U[:, d_raw:] = self.signs[d_raw:] * 0.0
+        if self.Pt is not None:
+            np.matmul(_fwht_last_axis(U), self.Pt, out=Y)
         else:  # row by row: a batched gather is slower per row at large nnz, and one row stays 1-d
-            for i in range(lo, hi):
-                Y[i] = _project_core(indptr, cols, weights, _fwht_last_axis(X[i] * signs))
+            for u, y in zip(U, Y):
+                y[...] = _project_core(self.indptr, self.cols, self.weights, _fwht_last_axis(u))
 
-    # chunk boundaries depend on the shapes only, so the output is the same at
-    # every worker count
-    step = max(1, _CHUNK_CELLS // d)
-    if n <= step:
-        one_chunk(0, 0, n)
+
+def _phd(X, signs, indptr, cols, weights, k: int, workers: int = 1) -> np.ndarray:
+    """The kernel behind :func:`apply_phd` and the trial loops; arguments are already checked.
+
+    A prepare step (:class:`_PhdKernel`) and an apply step over all rows of ``X``.
+    """
+    kernel = _PhdKernel(signs, indptr, cols, weights, k, len(X))
+    Y = np.empty((len(X), k))
+    if workers <= 1 or len(X) <= kernel.step:
+        kernel.apply(X, Y)
     else:
-        map_blocks(one_chunk, block_ranges(n, step), workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            kernel.apply(X, Y, pool)
     return Y
 
 
 def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers: int = 1) -> np.ndarray:
     """The embeddings ``k^{-1/2} P H D x`` of the rows ``x`` of ``X[n, d]``, as ``Y[n, k]``.
 
-    Rows go in fixed chunks of about 2 MB (scratch memory is O(chunk * d)), spread
-    over ``workers`` threads; the output is bit-identical at every worker count.
+    The kernel first prepares ``(D, P)``: it scales the weights and, when ``n``
+    rows pay for it, builds a dense copy of P.  That decision is made on the
+    total row count, so a caller streaming rows in batches through the same
+    prepared kernel gets the bits of one call on all rows.  It then applies
+    the rows in fixed chunks of about 2 MB (scratch memory is O(chunk * d)),
+    spread over ``workers`` threads; the output is bit-identical at every
+    worker count.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
         raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")
@@ -383,13 +426,17 @@ def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     signs = _draw_signs(substream(params.seed, _SIGNS_KEY), params.d)
     rng = substream(params.seed, _PROJECTION_KEY)
     indptr, cols, weights = _draw_projection_arrays(rng, params.k, params.d, params.q)
-    return _phd(x[None], signs, indptr, cols, weights, params.k)[0]
+    weights *= params.k**-0.5
+    # one row never pays for a dense copy of P (see _dense_projection_pays): the gather
+    return _project_core(indptr, cols, weights, _fwht_last_axis(x * signs))
 
 
 def embed_with(x: np.ndarray, diag: SignDiagonal, proj: SparseProjection) -> np.ndarray:
     """Embed with a pre-sampled (D, P) pair; :func:`apply_phd` embeds many vectors at once."""
     _check_float_vector(x, "x")
-    return apply_phd(x[None], diag, proj)[0]
+    if x.shape[0] != diag.d or diag.d != proj.d:
+        raise DimensionError(f"length mismatch: x has {x.shape[0]}, diagonal d={diag.d}, projection d={proj.d}")
+    return _project_core(proj.indptr, proj.cols, proj.weights * proj.k**-0.5, _fwht_last_axis(x * diag.signs))
 
 
 def sample_dense_matrix(k: int, d: int, seed: int) -> np.ndarray:

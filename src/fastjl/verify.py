@@ -891,7 +891,7 @@ class TotalMassResult:
 
 
 def total_mass_statistic(
-    eps: float, delta: float, d: int, q: float, trials: int, seed: int
+    eps: float, delta: float, d: int, q: float, trials: int, seed: int, workers: int = 1
 ) -> TotalMassResult:
     """Scaled total projection mass T = Binomial(k d / 2^l, q) / (m q), mean k.
 
@@ -913,7 +913,7 @@ def total_mass_statistic(
         rng = substream(seed, index)
         return rng.binomial(r, q, size=hi - lo) / (m * q)
 
-    samples = np.concatenate(map_blocks(one_block, block_ranges(trials)))
+    samples = np.concatenate(map_blocks(one_block, block_ranges(trials), workers))
     successes = int(np.count_nonzero(samples >= threshold))
     return TotalMassResult(
         estimate=TailEstimate.from_counts(successes, trials),

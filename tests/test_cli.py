@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +7,18 @@ import pytest
 from fastjl import (
     ParameterError,
     VectorDataset,
+    apply_phd,
     embed_with,
+    pad_to_power_of_two,
     read_vectors,
     sample_projection,
     sample_signs,
     write_vectors,
 )
+from fastjl import cli
 from fastjl.cli import RunConfig, execute, main, parse_config
 from fastjl.sparsity import q_theorem1
+from fastjl.transform import _CHUNK_CELLS
 
 
 def make_dataset(path, n=6, d=20, seed=0):
@@ -171,6 +176,87 @@ class TestEmbedCommand:
                 true = np.linalg.norm(pts[i] - pts[j])
                 got = np.linalg.norm(emb[i] - emb[j])
                 assert abs(got / true - 1.0) < 0.5
+
+
+STEP = _CHUNK_CELLS // 1024  # rows per kernel chunk at the padded d = 1024
+
+
+def whole_file_embedding(src, dst, k, q, seed):
+    """Write what one apply_phd call over the whole padded input gives."""
+    data = pad_to_power_of_two(read_vectors(src))
+    diag, proj = sample_signs(data.d, seed), sample_projection(k, data.d, q, seed)
+    write_vectors(dst, VectorDataset(d=k, vectors=apply_phd(data.vectors, diag, proj)))
+
+
+class TestStreamedEmbed:
+    """CLI embed reads, embeds and writes a batch of rows at a time."""
+
+    def run(self, src, dst, workers):
+        return main(["embed", "--in", str(src), "--out", str(dst), "--q", "0.05", "--k", "32",
+                     "--seed", "9", "--workers", workers])
+
+    def check(self, tmp_path, rows, d_raw, workers, src_suffix, dst_suffix):
+        src, dst, ref = tmp_path / f"x{src_suffix}", tmp_path / f"y{dst_suffix}", tmp_path / f"r{dst_suffix}"
+        X = np.random.default_rng(rows).standard_normal((rows, d_raw))
+        X[:1] = 0.0  # an all-zero row: its output zeros must carry the reference's signs
+        write_vectors(src, VectorDataset(d=d_raw, vectors=X))
+        assert self.run(src, dst, workers) == 0
+        whole_file_embedding(src, ref, 32, 0.05, 9)
+        assert dst.read_bytes() == ref.read_bytes()
+
+    # 1 row takes the gather, the others the dense copy of P; 4 * STEP + 3 rows
+    # span more than one batch at both worker counts
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("d_raw", [1000, 1024])
+    @pytest.mark.parametrize("rows", [0, 1, STEP - 1, STEP, STEP + 1, 4 * STEP + 3])
+    def test_matches_one_whole_file_call(self, tmp_path, rows, d_raw, workers):
+        self.check(tmp_path, rows, d_raw, workers, ".fjlv", ".fjlv")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("src_suffix, dst_suffix", [(".csv", ".fjlv"), (".fjlv", ".csv")])
+    def test_format_pairs(self, tmp_path, src_suffix, dst_suffix, workers):
+        self.check(tmp_path, 2 * STEP + 5, 1000, workers, src_suffix, dst_suffix)
+
+    def test_non_finite_row_in_the_last_block(self, tmp_path, capsys):
+        rows = 2 * STEP + 10
+        X = np.random.default_rng(3).standard_normal((rows, 1000))
+        X[-1, 7] = np.nan
+        src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
+        write_vectors(src, VectorDataset(d=1000, vectors=X))
+        dst.write_bytes(b"an earlier output")
+        assert self.run(src, dst, "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"row {rows} " in err[0]
+        assert dst.read_bytes() == b"an earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", "y.fjlv"]
+
+    def test_truncated_payload_rejected_before_any_output(self, tmp_path, capsys, monkeypatch):
+        src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
+        make_dataset(src, n=6, d=20)
+        src.write_bytes(src.read_bytes()[:-8])
+        opened = []
+        monkeypatch.setattr(cli, "vector_writer", lambda *args: opened.append(args))
+        assert self.run(src, dst, "1") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "row 6" in err[0]
+        assert opened == [] and not dst.exists()
+
+    def test_traced_memory_does_not_grow_with_the_file(self, tmp_path):
+        # tracemalloc sees numpy's buffers; the larger input holds 4x the rows
+        peaks = []
+        for rows in (1000, 4000):
+            src = tmp_path / f"x{rows}.fjlv"
+            X = np.random.default_rng(rows).standard_normal((rows, 1000))
+            write_vectors(src, VectorDataset(d=1000, vectors=X))
+            del X
+            tracemalloc.start()
+            try:
+                assert self.run(src, tmp_path / "y.fjlv", "1") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 << 20
+        assert peaks[1] < src.stat().st_size / 4
 
 
 class TestVerifyUpperCommand:

@@ -18,7 +18,7 @@ from fastjl import (
     sample_signs,
     write_vectors,
 )
-from fastjl.instances import hard_level
+from fastjl.instances import VectorReader, hard_level, vector_writer
 
 from helpers import dense_hadamard
 
@@ -207,6 +207,71 @@ class TestVectorIo:
     def test_dataset_shape_validation(self):
         with pytest.raises(DimensionError):
             VectorDataset(d=3, vectors=np.zeros((2, 4)))
+
+
+class TestBlockIo:
+    @pytest.mark.parametrize("suffix", [".fjlv", ".csv"])
+    @pytest.mark.parametrize("rows", [1, 4, 5, 9])
+    def test_blocks_match_read_vectors(self, tmp_path, suffix, rows):
+        path = tmp_path / f"x{suffix}"
+        write_vectors(path, VectorDataset(d=3, vectors=np.random.default_rng(rows).standard_normal((rows, 3))))
+        with VectorReader(path) as reader:
+            assert (reader.d, reader.count) == (3, rows)
+            blocks = [b.copy() for b in reader.blocks(4)]
+        assert [len(b) for b in blocks] == [min(4, rows - lo) for lo in range(0, rows, 4)]
+        assert np.array_equal(np.vstack(blocks), read_vectors(path).vectors)
+
+    def test_binary_blocks_reuse_one_buffer(self, tmp_path):
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, VectorDataset(d=2, vectors=np.arange(12.0).reshape(6, 2)))
+        with VectorReader(path) as reader:
+            first, second = (b.__array_interface__["data"][0] for b in reader.blocks(3))
+        assert first == second
+
+    def test_no_rows(self, tmp_path):
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, VectorDataset(d=5, vectors=np.zeros((0, 5))))
+        with VectorReader(path) as reader:
+            assert (reader.d, reader.count) == (5, 0)
+            assert list(reader.blocks(4)) == []
+
+    def test_non_finite_row_in_a_later_block_is_named(self, tmp_path):
+        data = np.ones((10, 3))
+        data[8, 2] = np.inf
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, VectorDataset(d=3, vectors=data))
+        with VectorReader(path) as reader:
+            blocks = reader.blocks(4)
+            next(blocks), next(blocks)
+            with pytest.raises(DatasetFormatError, match="row 9 has a non-finite value"):
+                next(blocks)
+
+    def test_truncated_payload_is_rejected_on_opening(self, tmp_path):
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, VectorDataset(d=4, vectors=np.ones((2, 4))))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DimensionMismatchError, match="row 2"):
+            VectorReader(path)
+
+    @pytest.mark.parametrize("suffix", [".fjlv", ".csv"])
+    def test_writer_blocks_match_write_vectors(self, tmp_path, suffix):
+        data = np.random.default_rng(0).standard_normal((7, 3))
+        whole, blocks = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+        write_vectors(whole, VectorDataset(d=3, vectors=data))
+        with vector_writer(blocks, 3, 7) as write:
+            for lo in range(0, 7, 3):
+                write(data[lo : lo + 3])
+        assert blocks.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("written", [1, 3])
+    def test_writer_row_count_mismatch_leaves_path_unchanged(self, tmp_path, written):
+        path = tmp_path / "x.fjlv"
+        path.write_bytes(b"earlier")
+        with pytest.raises(DimensionMismatchError, match="2 declared"):
+            with vector_writer(path, 3, 2) as write:
+                write(np.ones((written, 3)))
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.fjlv"]
 
 
 class TestPadding:

@@ -591,6 +591,12 @@ class TestTotalMass:
         with pytest.raises(DomainError):
             total_mass_statistic(0.25, 0.05, 1024, 0.01, 10, seed=0)
 
+    def test_workers_do_not_change_samples(self):
+        trials = 2 * TRIAL_BLOCK + 5  # three blocks
+        one = total_mass_statistic(0.25, 1e-3, 1024, 0.01, trials, seed=22)
+        two = total_mass_statistic(0.25, 1e-3, 1024, 0.01, trials, seed=22, workers=2)
+        assert np.array_equal(one.samples, two.samples) and one.estimate == two.estimate
+
 
 class TestMgfPremise:
     def test_matches_closed_form(self):

@@ -248,6 +248,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ParameterError(f"FASTJL_SEED must be an integer, got {env_seed!r}") from None
     if "workers" not in resolved:
         resolved["workers"] = 1 if command == "bench" else (os.cpu_count() or 1)
+    if resolved["workers"] < 1:
+        raise ParameterError(f"{command}: --workers must be >= 1, got {resolved['workers']}")
 
     for name in _REQUIRED[command]:
         if resolved.get(name) is None:
@@ -319,11 +321,10 @@ def _run_embed(config: RunConfig) -> int:
         kernel = _PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, reader.count)
         # a batch is whole kernel chunks, so chunk boundaries stay at multiples
         # of kernel.step from row 0 and the output bytes match one apply_phd call
-        workers = max(1, config.workers)
-        batch = workers * kernel.step
+        batch = config.workers * kernel.step
         Y = np.empty((min(batch, reader.count), k))
         with (
-            ThreadPoolExecutor(max_workers=workers) as pool,
+            ThreadPoolExecutor(max_workers=config.workers) as pool,
             vector_writer(config.out_path, k, reader.count) as write,
         ):
             for X in reader.blocks(batch):

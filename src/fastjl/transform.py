@@ -255,24 +255,63 @@ class SparseProjection:
         return self.cols[lo:hi], self.weights[lo:hi]
 
 
-def _geometric_positions(rng: np.random.Generator, ncells: int, q: float) -> np.ndarray:
+def _gap_batch(ncells: int, q: float) -> int:
+    """Gaps drawn at first for ``ncells`` cells: the mean success count plus 10 deviations and 16."""
+    mean = ncells * q
+    return int(mean + 10.0 * math.sqrt(max(mean * (1.0 - q), 1.0)) + 16.0)
+
+
+def _draw_gaps(rng: np.random.Generator, q: float, out: np.ndarray) -> np.ndarray:
+    """Fill the float64 ``out`` with the gaps ``rng.geometric(q, len(out))`` would return, ``0 < q < 1``."""
+    if q < 1 / 3:  # numpy's inversion branch: ceil(-E / log1p(-q)), one exponential E per gap
+        rng.standard_exponential(out=out)
+        out /= -math.log1p(-q)  # a division, as numpy's, so the rounding is the same
+        np.ceil(out, out=out)
+    else:
+        out[...] = rng.geometric(q, size=len(out))
+    return out
+
+
+def _geometric_positions(
+    rng: np.random.Generator, ncells: int, q: float, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Indices of Bernoulli(q) successes among ``ncells`` cells, via gap skipping.
 
     Gaps between successive successes are iid Geometric(q), so the expected
-    work is O(ncells * q) instead of ncells coin flips.
+    work is O(ncells * q) instead of ncells coin flips.  The gaps are those of
+    ``rng.geometric(q)`` and leave ``rng`` in the same state.  For ``q < 1/3``
+    numpy draws a geometric variate by inversion, ``ceil(-E / log1p(-q))`` with
+    E standard exponential (``random_geometric_inversion`` in numpy's
+    ``random/src/distributions/distributions.c``; Devroye 1986, X.2), so a
+    batch of exponentials gives the same gaps at a fraction of the cost; from
+    ``q = 1/3`` numpy switches to a sequential search, which is kept.  A float64
+    prefix sum is exact up to 2^53, so every position inside the grid is exact.
+
+    ``scratch`` is an optional caller-owned (float64, int64) pair of arrays;
+    when both hold ``_gap_batch(ncells, q)`` entries, the gaps go into the first
+    and the positions returned are a prefix of the second, so nothing is
+    allocated unless a rare top-up lengthens the batch.
     """
     if q >= 1.0:
         return np.arange(ncells, dtype=np.int64)
-    mean = ncells * q
-    batch = int(mean + 10.0 * math.sqrt(max(mean * (1.0 - q), 1.0)) + 16.0)
-    pos = np.cumsum(rng.geometric(q, size=batch))
-    pos -= 1
+    batch = _gap_batch(ncells, q)
+    if scratch is None or min(map(len, scratch)) < batch:
+        scratch = np.empty(batch), np.empty(batch, dtype=np.int64)
+    gaps, out = scratch
+    pos = _draw_gaps(rng, q, gaps[:batch])
+    pos[0] -= 1.0  # the first success is at cell gap - 1
+    np.add.accumulate(pos, out=pos)  # np.cumsum's sum, without its Python-level dispatch
     while pos[-1] < ncells:  # top-ups after an unlucky first batch are rare
-        more = np.cumsum(rng.geometric(q, size=16))
+        more = np.add.accumulate(_draw_gaps(rng, q, np.empty(16)))
         more += pos[-1]
         pos = np.concatenate((pos, more))
     # positions increase strictly, so the cells inside the grid are a prefix
-    return pos[: np.searchsorted(pos, ncells)]
+    n = int(pos.searchsorted(ncells))
+    if n > len(out):
+        out = np.empty(n, dtype=np.int64)
+    out = out[:n]
+    out[...] = pos[:n]
+    return out
 
 
 def _draw_projection_arrays(

@@ -38,6 +38,7 @@ from .transform import (
     _draw_projection_arrays,
     _draw_signs,
     _fwht_last_axis,
+    _gap_batch,
     _geometric_positions,
     _phd,
 )
@@ -406,9 +407,9 @@ def _norm_window_fails(ratio_sq: np.ndarray, eps: float, criterion: NormCriterio
 
 # Expected cells per sub-chunk of single-vector trials: sign cells (t * d) or
 # sampled entries of P (t * k * d * q), whichever is larger; 7 trials at
-# d = 1024, k = 267, q = 0.016.  Scratch arrays of 256 KB stay in cache: there,
-# on a 2-core x86 box, a trial took about 200 us at 2^15 and 260-295 us at
-# 2^16 to 2^18.
+# d = 1024, k = 267, q = 0.016.  With the per-block scratch a trial there takes
+# a median 124-134 us at every size from 2^15 to 2^18 (2-core x86 box).  The
+# size fixes where the random streams are cut, so it cannot change alone.
 _TRIAL_CHUNK_CELLS = 1 << 15
 
 # The constant c of the Gram-distance margin; see _pairwise_trial_fails.
@@ -442,8 +443,12 @@ def _pairwise_trial_fails(
     eps: float,
     criterion: NormCriterion,
     margin: float = _GRAM_MARGIN,
+    flat: np.ndarray | None = None,
 ) -> bool:
     """Whether some pair ``(ii, jj)`` of the embedded points ``emb`` leaves the window.
+
+    ``flat`` is ``ii * n + jj``, the pairs' indices into the raveled n x n Gram
+    matrix; a trial loop builds it once and passes it in.
 
     The verdict equals that of the direct ``((emb[ii] - emb[jj]) ** 2).sum(axis=1)
     / true_sq``: distances come from the Gram matrix ``G = emb emb^T`` as
@@ -463,11 +468,13 @@ def _pairwise_trial_fails(
     lie in no sure region, so they are recomputed.
     """
     n, k = emb.shape
+    if flat is None:
+        flat = ii * n + jj
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are recomputed below
         G = emb @ emb.T
         g = G.diagonal()
         gi, gj = g[ii], g[jj]
-        est = gi + gj - 2.0 * G.ravel()[ii * n + jj]
+        est = gi + gj - 2.0 * G.ravel()[flat]
         ratio = est / true_sq
         slack = margin * (k + 4) * (_UNIT_ROUNDOFF * (gi + gj + np.abs(est)) + _SMALLEST_SUBNORMAL) / true_sq
     lo, hi = 1.0 - eps, 1.0 + eps
@@ -501,7 +508,10 @@ def estimate_failure_rate(
     shapes only).  A chunk draws its vectors (for a callable source), its signs
     and, with one gap-skipping call, the supports of all its projections.  Given
     the support S_i, row i of ``P H D x`` is ``N(0, sum_{j in S_i} (HDx)_j^2 / q)``,
-    so each trial draws k Gaussians instead of one weight per entry of P.
+    so each trial draws k Gaussians instead of one weight per entry of P.  The
+    arrays of about ``t k d q`` entries (gaps, positions, rows, cells, gathered
+    values) live in one scratch per block, so per thread, that every chunk
+    reuses: arrays made afresh per chunk cost about 40 page faults per trial.
     Pairwise trials embed the points with :func:`fastjl.transform._phd` and
     take distances from the Gram matrix, recomputing pairs near a window edge
     with the direct formula, so every verdict is the direct formula's.
@@ -518,6 +528,7 @@ def estimate_failure_rate(
         if points.shape[0] < 2:
             raise ParameterError("pairwise mode needs at least two points")
         ii, jj = np.triu_indices(points.shape[0], k=1)
+        flat = ii * points.shape[0] + jj
         true_sq = _pair_sq_distances(points)
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
@@ -528,7 +539,7 @@ def estimate_failure_rate(
             for _ in range(hi - lo):
                 signs = _draw_signs(rng, d)
                 emb = _phd(points, signs, *_draw_projection_arrays(rng, k, d, q), k)
-                failures += _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion)
+                failures += _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion, flat=flat)
             return failures
 
         return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
@@ -542,8 +553,9 @@ def estimate_failure_rate(
             raise ParameterError("zero vector: norm criterion undefined")
     log_d = d.bit_length() - 1
     step = max(1, int(_TRIAL_CHUNK_CELLS // max(d, k * d * q)))
+    trial_base = (np.arange(step * k) // k) << log_d  # row of the stacked supports -> trial * d
 
-    def one_chunk(rng: np.random.Generator, t: int) -> int:
+    def one_chunk(rng: np.random.Generator, t: int, scratch: list[np.ndarray]) -> int:
         if fixed is None:
             x = np.empty((t, d))
             for r in range(t):
@@ -560,17 +572,26 @@ def estimate_failure_rate(
         u *= x
         _fwht_last_axis(u)
         u *= u
-        pos = _geometric_positions(rng, t * k * d, q)  # cells of t stacked k x d supports
-        rows = pos >> log_d
-        cells = ((rows // k) << log_d) | (pos & (d - 1))  # (trial, column) of each entry
-        var = np.bincount(rows, weights=u.ravel()[cells], minlength=t * k)
+        pos = _geometric_positions(rng, t * k * d, q, scratch[:2])  # cells of t stacked k x d supports
+        n = len(pos)
+        if n > len(scratch[0]):  # a top-up outgrew the scratch: grow it for the rest of the block
+            scratch[:] = [np.empty(n, a.dtype) for a in scratch]
+        vals, _, rows, cells = (a[:n] for a in scratch)  # the gaps are spent: their array takes the values
+        np.right_shift(pos, log_d, out=rows)
+        np.take(trial_base, rows, out=cells, mode="clip")  # in range; "clip" writes without a copy
+        pos &= d - 1
+        cells |= pos  # (trial, column) of each entry
+        np.take(u.ravel(), cells, out=vals, mode="clip")
+        var = np.bincount(rows, weights=vals, minlength=t * k)
         var *= rng.standard_normal(t * k) ** 2
         ratio_sq = var.reshape(t, k).sum(axis=1) / (q * k * x_sq)
         return int(np.count_nonzero(_norm_window_fails(ratio_sq, eps, criterion)))
 
     def one_block(index: int, lo: int, hi: int) -> int:
         rng = substream(params.seed, index)
-        return sum(one_chunk(rng, min(step, hi - start)) for start in range(lo, hi, step))
+        n = _gap_batch(step * k * d, q)
+        scratch = [np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)]
+        return sum(one_chunk(rng, min(step, hi - start), scratch) for start in range(lo, hi, step))
 
     return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
 
@@ -598,8 +619,8 @@ def coord_exceedance_rate(
         remaining = hi - lo
         while remaining:
             rows = min(rows_per_batch, remaining)
-            signs = _draw_signs(rng, (rows, d))
-            u = signs * x
+            u = _draw_signs(rng, (rows, d))
+            u *= x
             _fwht_last_axis(u)
             failures += int(np.count_nonzero(np.abs(u).max(axis=1) > threshold))
             remaining -= rows

@@ -110,6 +110,36 @@ class TestParseConfig:
                      "--out", str(tmp_path / "nodir" / "y.fjlv"), "--q", "0.1", "--k", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        src = tmp_path / "x.fjlv"
+        make_dataset(src)
+        out = tmp_path / "y.fjlv"
+        runs = (
+            ["embed", "--in", str(src), "--out", str(out), "--q", "0.1", "--k", "4"],
+            ["verify-upper", "--d", "64", "--k", "8", "--eps", "0.5", "--q", "0.1", "--trials", "10",
+             "--report", str(tmp_path / "r.jsonl")],
+        )
+        for argv in runs:
+            assert main([*argv, "--workers", workers]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("fastjl: error:") and "--workers" in err[0]
+        assert not out.exists() and not (tmp_path / "r.jsonl").exists()
+
+    def test_workers_below_one_in_config_file_exit_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("workers=0\n")
+        code = main(["verify-lemmas", "--config", str(conf), "--report", str(tmp_path / "r.jsonl")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "--workers" in err[0]
+        with pytest.raises(ParameterError, match="workers"):
+            parse_config(["verify-lemmas", "--config", str(conf), "--report", str(tmp_path / "r.jsonl")])
+        # a flag of 1 or more still wins over the file
+        cfg = parse_config(["verify-lemmas", "--config", str(conf), "--workers", "1",
+                            "--report", str(tmp_path / "r.jsonl")])
+        assert cfg.workers == 1
+
 
 class TestEmbedCommand:
     def test_embeds_and_pads(self, tmp_path, capsys):

@@ -21,12 +21,15 @@ from fastjl import (
     sample_projection,
     sample_signs,
 )
+from fastjl import transform
 from fastjl.sparsity import expected_nnz
 from fastjl.transform import (
     DENSE_PROJECTION_MAX_CELLS,
     _CHUNK_CELLS,
     _dense_projection_pays,
     _fwht_last_axis,
+    _gap_batch,
+    _geometric_positions,
 )
 
 from helpers import dense_hadamard
@@ -195,6 +198,72 @@ class TestSampleProjection:
     def test_tiny_q_is_cheap(self):
         P = sample_projection(100, 2**16, 2.0**-20, seed=5)
         assert P.nnz < 100  # expected ~6 entries
+
+
+
+def _reference_positions(rng, ncells, q, batch):
+    """Gap skipping with ``rng.geometric``: the cumulative sums of the gaps, minus one, inside the grid."""
+    if q >= 1.0:
+        return np.arange(ncells)
+    pos = np.cumsum(rng.geometric(q, size=batch)) - 1
+    while pos[-1] < ncells:
+        pos = np.concatenate((pos, np.cumsum(rng.geometric(q, size=16)) + pos[-1]))
+    return pos[: np.searchsorted(pos, ncells)]
+
+
+# numpy draws a geometric variate by inversion below q = 1/3 and by search from there on
+GAP_QS = [1e-9, 1e-4, 0.003, 0.01625, 0.1327, 0.25, 0.3333, 1 / 3, 0.34, 0.5, 0.9, 1.0]
+
+
+class TestGeometricPositions:
+    """The gaps are ``rng.geometric``'s, bit for bit, and leave the generator where it would."""
+
+    def _check(self, ncells, q, seed, scratch=None, batch=None):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _geometric_positions(got_rng, ncells, q, scratch)
+        ref = _reference_positions(ref_rng, ncells, q, batch or _gap_batch(ncells, q))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert got_rng.random() == ref_rng.random()  # the same number of draws
+        return got
+
+    @pytest.mark.parametrize("q", GAP_QS)
+    @pytest.mark.parametrize("ncells", [1, 7, 1000, 273_408])
+    def test_matches_rng_geometric(self, q, ncells):
+        for seed in (0, 1, 11):
+            self._check(ncells, q, seed)
+
+    @pytest.mark.parametrize("q", GAP_QS)
+    def test_scratch_holds_the_positions(self, q):
+        ncells = 4096
+        n = _gap_batch(ncells, q)
+        gaps, out = np.empty(n), np.empty(n, dtype=np.int64)
+        got = self._check(ncells, q, 5, (gaps, out))
+        if q < 1.0 and len(got):
+            assert np.shares_memory(got, out)
+
+    @pytest.mark.parametrize("q", GAP_QS)
+    def test_short_scratch_is_not_used(self, q):
+        gaps, out = np.full(3, np.nan), np.full(3, -1, dtype=np.int64)
+        got = self._check(4096, q, 6, (gaps, out))
+        assert not np.shares_memory(got, out) and np.all(out == -1)
+
+    @pytest.mark.parametrize("q", [0.003, 0.25, 1 / 3, 0.5, 0.9])
+    def test_top_up_branch(self, monkeypatch, q):
+        # a first batch of one gap almost never reaches the end, so the 16-gap top-ups do the work
+        monkeypatch.setattr(transform, "_gap_batch", lambda ncells, q: 1)
+        for seed in range(4):
+            for scratch in (None, (np.empty(1), np.empty(1, dtype=np.int64))):
+                got = self._check(round(40 / q), q, seed, scratch, batch=1)
+                assert len(got) > 1  # so at least one top-up
+
+    def test_sample_projection_uses_the_same_positions(self):
+        for q in (0.01625, 0.34):
+            P = sample_projection(9, 256, q, seed=3)
+            pos = _reference_positions(transform.substream(3, transform._PROJECTION_KEY), 9 * 256, q,
+                                       _gap_batch(9 * 256, q))
+            assert np.array_equal(P.cols, pos % 256)
+            assert np.array_equal(P.indptr, np.searchsorted(pos, np.arange(0, 10 * 256, 256)))
 
 
 class TestProject:

@@ -171,6 +171,21 @@ class TestFailureRate:
         b = estimate_failure_rate(params, x, trials, workers=4)
         assert a == b and a.trials == trials
 
+    # counts recorded before the gaps came from exponential inversion into a per-block
+    # scratch; 4096 + 77 trials are two blocks, and q = 0.4 takes numpy's search method
+    @pytest.mark.parametrize(
+        "d,k,q,count", [(256, 32, 0.05, 1187), (128, 16, 0.4, 1615), (1024, 64, 0.003, 1076)]
+    )
+    def test_counts_are_pinned(self, monkeypatch, d, k, q, count):
+        params = JlParams(d=d, k=k, eps=0.3, q=q, seed=21)
+        x = random_unit_vector(d, 4)
+        trials = TRIAL_BLOCK + 77
+        for workers in (1, 2):
+            assert estimate_failure_rate(params, x, trials, workers=workers).successes == count
+        # a scratch of 8 entries is outgrown by the first chunk and grown in place
+        monkeypatch.setattr(verify, "_gap_batch", lambda ncells, q: 8)
+        assert estimate_failure_rate(params, x, trials, workers=2).successes == count
+
     def test_conditional_law_matches_direct_embedding(self):
         # the rate drawn from the conditional law against embed at fresh seeds
         d, k, q, eps = 64, 8, 0.25, 0.3
@@ -262,6 +277,14 @@ class TestCoordExceedance:
         a = coord_exceedance_rate(x, 2.0, 100.0, 1000, seed=6)
         b = coord_exceedance_rate(x, 2.0, 100.0, 1000, seed=6)
         assert a == b
+
+    # counts recorded before the signs were transformed in place; at d = 1024 a
+    # batch is 2048 rows, so the 4396 trials are two blocks of two and one batches
+    @pytest.mark.parametrize("c,count", [(1.0, 4396), (1.5, 3280), (2.0, 866)])
+    def test_counts_are_pinned(self, c, count):
+        x = random_unit_vector(1024, 3)
+        for workers in (1, 2):
+            assert coord_exceedance_rate(x, c, 1e3, TRIAL_BLOCK + 300, seed=7, workers=workers).successes == count
 
     def test_random_unit_vector_rarely_exceeds(self):
         x = random_unit_vector(1024, 8)

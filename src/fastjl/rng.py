@@ -19,6 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+# numpy loads numpy.random on first use; every command draws, so load it with the package
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import ParameterError
 
@@ -35,16 +37,16 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def substream(seed: int, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> Generator:
     """Generator for the stream identified by ``(seed, *key)``."""
-    seq = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(map(int, key)))
+    seq = SeedSequence(check_seed(seed), spawn_key=tuple(map(int, key)))
     # what default_rng(seq) builds, minus its argument dispatch
-    return np.random.Generator(np.random.PCG64(seq))
+    return Generator(PCG64(seq))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit seed hashed from ``(seed, *key)``, for namespacing experiments."""
-    seq = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(int(k) for k in key))
+    seq = SeedSequence(check_seed(seed), spawn_key=tuple(int(k) for k in key))
     return int(seq.generate_state(1, np.uint64)[0])
 
 

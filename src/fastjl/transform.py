@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -91,6 +92,30 @@ _MAX_HADAMARD_BLOCK = 64
 # Float64 cells per row chunk (2 MB per scratch array): 256 rows at d = 1024.
 _CHUNK_CELLS = 1 << 18
 
+# Slots of the per-thread scratch: the FWHT's two Kronecker intermediates,
+# the kernel's padded signed rows and a one-shot kernel's dense copy of P.
+_FWHT_SLOTS, _ROWS_SLOT, _DENSE_P_SLOT = (0, 1), 2, 3
+
+
+class _ThreadScratch(threading.local):
+    """Float64 buffers of one thread, kept for the thread's life and grown on demand.
+
+    Arrays made afresh per chunk cost page faults and system time each time
+    glibc hands them back to the kernel; these are made once per thread.
+    """
+
+    def __init__(self) -> None:
+        self.bufs = [np.empty(0)] * 4
+
+    def take(self, slot: int, cells: int) -> np.ndarray:
+        """The first ``cells`` cells of buffer ``slot``, valid until the next take of that slot."""
+        if len(self.bufs[slot]) < cells:
+            self.bufs[slot] = np.empty(cells)
+        return self.bufs[slot][:cells]
+
+
+_scratch = _ThreadScratch()
+
 
 @functools.lru_cache(maxsize=None)
 def _hadamard_blocks(d: int) -> tuple[np.ndarray, ...]:
@@ -114,7 +139,11 @@ def _fwht_last_axis(a: np.ndarray) -> np.ndarray:
 
     H_d = H_{a_1} (x) ... (x) H_{a_f}, so each block multiplies its own axis of
     a row reshaped to (a_1, ..., a_f); the last product writes into ``a``.
-    Rows go ``_CHUNK_CELLS`` at a time, so scratch memory stays O(chunk).
+    Rows go ``_CHUNK_CELLS`` at a time.  The intermediates of a chunk go into
+    the calling thread's scratch (:class:`_ThreadScratch`), alternating
+    between its two FWHT buffers when there are two or more inner blocks
+    (d > 4096), so a call allocates nothing once the thread has run a chunk
+    of that size.
     """
     *inner, last = _hadamard_blocks(a.shape[-1])
     if not inner:  # d <= 64: one product, which costs less than the chunk loop
@@ -126,12 +155,14 @@ def _fwht_last_axis(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     rows = a.reshape(-1, d)
     step = max(1, _CHUNK_CELLS // d)
+    bufs = [_scratch.take(slot, min(step, len(rows)) * d) for slot in _FWHT_SLOTS[: len(inner)]]
     for lo in range(0, len(rows), step):
         chunk = u = rows[lo : lo + step]
         right = d
-        for H in inner:
+        for i, H in enumerate(inner):
             right //= len(H)
-            u = np.matmul(H, u.reshape(-1, len(H), right))
+            out = bufs[i % 2][: chunk.size].reshape(-1, len(H), right)
+            u = np.matmul(H, u.reshape(-1, len(H), right), out=out)
         np.matmul(u.reshape(-1, len(last)), last, out=chunk.reshape(-1, len(last)))
     return a
 
@@ -377,16 +408,23 @@ class _PhdKernel:
     count, whether a dense copy of P pays for itself; a caller that streams
     its rows in batches (CLI ``embed``) so builds the copy once, and every
     batch takes the same path as the whole set would.
+
+    Each chunk's padded signed rows go into the scratch of the thread that
+    applies it (:class:`_ThreadScratch`).  A ``one_shot`` kernel, used for a
+    single call and then dropped, builds its dense copy of P in the building
+    thread's scratch too, so it is valid only until the next one-shot kernel
+    is built on that thread.
     """
 
-    def __init__(self, signs, indptr, cols, weights, k: int, rows: int) -> None:
+    def __init__(self, signs, indptr, cols, weights, k: int, rows: int, one_shot: bool = False) -> None:
         d = len(signs)
         self.signs, self.indptr, self.cols = signs, indptr, cols
         self.weights = weights * k**-0.5
         self.step = max(1, _CHUNK_CELLS // d)
         self.Pt = None
         if _dense_projection_pays(rows, len(cols), k * d):
-            self.Pt = np.zeros((d, k))
+            self.Pt = _scratch.take(_DENSE_P_SLOT, d * k).reshape(d, k) if one_shot else np.empty((d, k))
+            self.Pt.fill(0.0)
             self.Pt[cols, np.repeat(np.arange(k), np.diff(indptr))] = self.weights
 
     def apply(self, X: np.ndarray, Y: np.ndarray, pool: Executor | None = None) -> None:
@@ -407,7 +445,7 @@ class _PhdKernel:
         # the zero-padded, signed rows; a padded cell holds 0 * sign, so -0.0
         # under a negative sign, exactly as in a padded copy of the input
         d_raw = X.shape[1]
-        U = np.empty((len(X), len(self.signs)))
+        U = _scratch.take(_ROWS_SLOT, len(X) * len(self.signs)).reshape(len(X), -1)
         np.multiply(X, self.signs[:d_raw], out=U[:, :d_raw])
         U[:, d_raw:] = self.signs[d_raw:] * 0.0
         if self.Pt is not None:
@@ -422,7 +460,7 @@ def _phd(X, signs, indptr, cols, weights, k: int, workers: int = 1) -> np.ndarra
 
     A prepare step (:class:`_PhdKernel`) and an apply step over all rows of ``X``.
     """
-    kernel = _PhdKernel(signs, indptr, cols, weights, k, len(X))
+    kernel = _PhdKernel(signs, indptr, cols, weights, k, len(X), one_shot=True)
     Y = np.empty((len(X), k))
     if workers <= 1 or len(X) <= kernel.step:
         kernel.apply(X, Y)
@@ -439,9 +477,9 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     rows pay for it, builds a dense copy of P.  That decision is made on the
     total row count, so a caller streaming rows in batches through the same
     prepared kernel gets the bits of one call on all rows.  It then applies
-    the rows in fixed chunks of about 2 MB (scratch memory is O(chunk * d)),
-    spread over ``workers`` threads; the output is bit-identical at every
-    worker count.
+    the rows in fixed chunks of about 2 MB, spread over ``workers`` threads;
+    each thread keeps its chunk scratch from call to call (see
+    :class:`_PhdKernel`).  The output is bit-identical at every worker count.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
         raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")

@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DimensionError, DomainError, ParameterError
 from .instances import VectorDataset, hard_vector
@@ -35,6 +34,7 @@ from .sparsity import choose_k
 from .transform import (
     JlParams,
     NormCriterion,
+    _CHUNK_CELLS,
     _draw_projection_arrays,
     _draw_signs,
     _fwht_last_axis,
@@ -615,14 +615,21 @@ def coord_exceedance_rate(
 
     def one_block(index: int, lo: int, hi: int) -> int:
         rng = substream(seed, index)
+        block = np.empty(min(rows_per_batch, hi - lo) * d)
         failures = 0
         remaining = hi - lo
         while remaining:
             rows = min(rows_per_batch, remaining)
-            u = _draw_signs(rng, (rows, d))
+            u = block[: rows * d]
+            # rng.integers in pieces gives the stream of one call, without an int64 copy of u
+            for c in range(0, len(u), _CHUNK_CELLS):
+                u[c : c + _CHUNK_CELLS] = rng.integers(0, 2, size=min(_CHUNK_CELLS, len(u) - c))
+            u *= 2.0
+            u -= 1.0
+            u = u.reshape(rows, d)
             u *= x
             _fwht_last_axis(u)
-            failures += int(np.count_nonzero(np.abs(u).max(axis=1) > threshold))
+            failures += int(np.count_nonzero(np.abs(u, out=u).max(axis=1) > threshold))
             remaining -= rows
         return failures
 
@@ -635,7 +642,13 @@ def coord_exceedance_rate(
 
 
 def binomial_tail_exact(r: int, q: float, s: int) -> float:
-    """Exact P[Binomial(r, q) >= s] by stable summation of log-binomial terms."""
+    """Exact P[Binomial(r, q) >= s] by stable summation of log-binomial terms.
+
+    The log-factorials ``log i!`` come from ``math.lgamma``.  Measured relative
+    error: at most 6.3e-14 against ``scipy.stats.binom.sf`` over
+    :func:`reverse_chernoff_grid`; against a 50-digit sum, at most 6.9e-13 at
+    r <= 600 and 1.3e-11 at r = 10^4 (the error grows with ``log r!``).
+    """
     if not 0 <= s <= r:
         raise ParameterError(f"need 0 <= s <= r, got s={s}, r={r}")
     if r > 10_000:
@@ -648,11 +661,12 @@ def binomial_tail_exact(r: int, q: float, s: int) -> float:
         return 0.0
     if q == 1.0:
         return 1.0
-    j = np.arange(s, r + 1, dtype=np.float64)
+    lf = np.array([math.lgamma(i + 1.0) for i in range(r + 1)])  # lf[i] = log i!
+    j = np.arange(s, r + 1)
     log_terms = (
-        special.gammaln(r + 1.0)
-        - special.gammaln(j + 1.0)
-        - special.gammaln(r - j + 1.0)
+        lf[r]
+        - lf[j]
+        - lf[r - j]
         + j * math.log(q)
         + (r - j) * math.log1p(-q)
     )
@@ -779,7 +793,7 @@ def gaussian_square_tail_check(x: float) -> GaussianSquareCheck:
     """Exact P[N^2 >= x] (via erfc) versus the bound 1 - sqrt(1 - exp(-2x/pi))."""
     if x < 0.0:
         raise ParameterError(f"x must be >= 0, got {x}")
-    exact = float(special.erfc(math.sqrt(x / 2.0)))
+    exact = math.erfc(math.sqrt(x / 2.0))
     bound = 1.0 - math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * x / math.pi)))
     verdict = Verdict.PASS if exact >= bound else Verdict.FAIL
     return GaussianSquareCheck(x=x, exact=exact, bound=bound, verdict=verdict)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,3 +445,17 @@ class TestReplay:
             return rows
 
         assert rows_without_times(o1) == rows_without_times(o2)
+
+
+def test_no_fastjl_module_loads_scipy():
+    # scipy's import tree is most of the CLI's start-up time; tests use it only as a reference
+    code = (
+        "import pkgutil, sys, fastjl, fastjl.cli\n"
+        "for m in pkgutil.iter_modules(fastjl.__path__, 'fastjl.'): __import__(m.name)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

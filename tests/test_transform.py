@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,21 @@ from fastjl.transform import (
 )
 
 from helpers import dense_hadamard
+
+
+def fwht_fresh_intermediates(X):
+    """The chunked, factored FWHT of the rows of X with a fresh array per Kronecker product."""
+    d = X.shape[1]
+    *inner, last = transform._hadamard_blocks(d)
+    out = X.copy()
+    step = max(1, _CHUNK_CELLS // d)
+    for lo in range(0, len(X), step):
+        u, right = out[lo : lo + step], d
+        for H in inner:
+            right //= len(H)
+            u = np.matmul(H, u.reshape(-1, len(H), right))
+        out[lo : lo + step] = (u.reshape(-1, len(last)) @ last).reshape(-1, d)
+    return out
 
 
 class TestFwht:
@@ -101,6 +117,16 @@ class TestFwhtDensePath:
         A = X.copy()
         assert _fwht_last_axis(A) is A
         assert np.abs(A - X @ dense_hadamard(d)).max() < 1e-12
+
+    # two and three inner blocks, so the intermediates alternate between the
+    # thread's two scratch buffers; 20 rows at 16384 end in a short chunk
+    @pytest.mark.parametrize("d, rows", [(16384, 20), (1 << 19, 3)])
+    def test_scratch_ping_pong_matches_fresh_intermediates(self, d, rows):
+        X = np.random.default_rng(d).standard_normal((rows, d))
+        want = fwht_fresh_intermediates(X)
+        _fwht_last_axis(np.random.default_rng(1).standard_normal((2, 4096)))  # leaves the scratch dirty
+        assert np.array_equal(_fwht_last_axis(X.copy()), want)
+        assert np.array_equal(_fwht_last_axis(X.copy()), want)
 
     @pytest.mark.parametrize("d", [32, 128])  # one block, two blocks
     def test_strided_view_is_transformed_in_place(self, d):
@@ -422,6 +448,22 @@ class TestApplyPhd:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, want)
+
+    def test_second_call_allocates_only_its_output(self):
+        # tracemalloc sees numpy's buffers; 8 chunks and 5 rows at d = 1024 take the dense copy of P
+        d, k = 1024, 64
+        diag, proj = sample_signs(d, seed=2), sample_projection(k, d, 0.05, seed=2)
+        X = np.random.default_rng(2).standard_normal((8 * (_CHUNK_CELLS // d) + 5, d))
+        assert _dense_projection_pays(len(X), proj.nnz, k * d)
+        want = apply_phd(X, diag, proj)  # grows this thread's scratch
+        tracemalloc.start()
+        try:
+            Y = apply_phd(X, diag, proj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(Y, want)
+        assert peak <= Y.nbytes + 8 * _CHUNK_CELLS
 
     def test_read_only_input_and_no_rows(self):
         d, k = 64, 8

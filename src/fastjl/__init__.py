@@ -27,9 +27,7 @@ from .instances import (
     write_vectors,
 )
 from .sparsity import (
-    SparsitySpec,
     choose_k,
-    expected_nnz,
     q_ailon_chazelle,
     q_lower_threshold,
     q_theorem1,
@@ -45,7 +43,6 @@ from .transform import (
     embed,
     embed_with,
     fwht_inplace,
-    project,
     sample_projection,
     sample_signs,
 )
@@ -68,17 +65,14 @@ __all__ = [
     "sample_signs",
     "apply_signs",
     "sample_projection",
-    "project",
     "apply_phd",
     "embed",
     "embed_with",
     "dense_embed_reference",
-    "SparsitySpec",
     "q_theorem1",
     "q_ailon_chazelle",
     "q_lower_threshold",
     "choose_k",
-    "expected_nnz",
     "HardInstance",
     "VectorDataset",
     "hard_vector",

@@ -3,27 +3,24 @@
 Only the apply path is timed (the transform given pre-sampled structures);
 sampling cost is reported separately as setup time since it is amortized
 over many embedded vectors.  Timings are medians over ``reps`` runs after
-explicit warm-up, with no further statistical model.  Benchmarks run the
-configurations serially; a flag enables a thread pool across repetitions
-purely for throughput reporting.
+explicit warm-up, with no further statistical model.  Configurations and
+repetitions run serially, one at a time: unlike the Monte Carlo trial
+blocks of :func:`fastjl.rng.run_trials`, nothing here shares the machine
+with another thread of the run, so a timing is a latency without contention.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .errors import ParameterError
 from .instances import random_unit_vector
 from .rng import derive_seed
 from .sparsity import q_ailon_chazelle, q_theorem1
 from .transform import (
-    SparseProjection,
     embed_with,
     sample_dense_matrix,
     sample_projection,
@@ -45,7 +42,6 @@ __all__ = [
     "CSV_HEADER",
     "BenchConfig",
     "BenchRecord",
-    "empty_projection",
     "run_bench",
     "records_to_csv",
 ]
@@ -104,16 +100,6 @@ class BenchRecord:
             raise ParameterError("nnz must be >= 0")
 
 
-def empty_projection(k: int, d: int) -> SparseProjection:
-    """The degenerate q = 0 projection (no entries; output always zero)."""
-    return SparseProjection(
-        k=k, d=d, q=0.0,
-        indptr=np.zeros(k + 1, dtype=np.int64),
-        cols=np.empty(0, dtype=np.int64),
-        weights=np.empty(0, dtype=np.float64),
-    )
-
-
 def _build_apply(config: BenchConfig, q: float, seed: int):
     """Return (apply closure, observed nnz); building it is the timed setup."""
     d, k = config.d, config.k
@@ -123,7 +109,7 @@ def _build_apply(config: BenchConfig, q: float, seed: int):
         scale = k**-0.5
         return (lambda: (A @ x) * scale), k * d
     diag = sample_signs(d, seed)
-    proj = empty_projection(k, d) if q == 0.0 else sample_projection(k, d, q, seed)
+    proj = sample_projection(k, d, q, seed)
     return (lambda: embed_with(x, diag, proj)), proj.nnz
 
 
@@ -133,7 +119,6 @@ def run_bench(
     seed: int,
     *,
     warmup: int = 3,
-    parallel_apply: int = 1,
 ) -> list[BenchRecord]:
     """Time the apply path of each configuration; median of ``reps`` runs."""
     if reps < 3:
@@ -147,14 +132,11 @@ def run_bench(
         setup_ns = time.perf_counter_ns() - t0
         for _ in range(warmup):
             apply_fn()
-        if parallel_apply > 1:
-            times = _timed_parallel(apply_fn, reps, parallel_apply)
-        else:
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter_ns()
-                apply_fn()
-                times.append(time.perf_counter_ns() - t0)
+        times = []
+        for _ in range(reps):
+            t0 = time.perf_counter_ns()
+            apply_fn()
+            times.append(time.perf_counter_ns() - t0)
         records.append(
             BenchRecord(
                 method=config.method,
@@ -168,16 +150,6 @@ def run_bench(
             )
         )
     return records
-
-
-def _timed_parallel(apply_fn: Callable, reps: int, workers: int) -> list[int]:
-    def one(_: int) -> int:
-        t0 = time.perf_counter_ns()
-        apply_fn()
-        return time.perf_counter_ns() - t0
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(reps)))
 
 
 def records_to_csv(records: Sequence[BenchRecord], config_echo: str | None = None) -> str:

@@ -77,7 +77,6 @@ class RunConfig:
     big_c3: float = 2.0
     methods: str = ",".join(bench_mod.METHODS)
     reps: int = 9
-    parallel_apply: int = 1
     seed: int = 0
     workers: int = 1
 
@@ -161,7 +160,6 @@ _FIELDS: dict[str, list[tuple]] = {
         ("eps", "--eps", float, None, "distortion parameter for the scheduled q"),
         ("n", "--n", float, None, "number of points for the scheduled q"),
         ("reps", "--reps", int, 9, "timed repetitions per method"),
-        ("parallel_apply", "--parallel-apply", int, 1, "thread pool size for throughput runs"),
         ("out_path", "--out", str, None, "CSV output path"),
         *_COMMON,
     ],
@@ -568,8 +566,7 @@ def _run_bench(config: RunConfig) -> int:
                               eps=config.eps, n=config.n)
         for m in methods
     ]
-    records = bench_mod.run_bench(configs, config.reps, config.seed,
-                                  parallel_apply=config.parallel_apply)
+    records = bench_mod.run_bench(configs, config.reps, config.seed)
     echo = json.dumps(config.to_dict())
     _atomic_write_bytes(Path(config.out_path), bench_mod.records_to_csv(records, config_echo=echo).encode())
     print(f"bench: {len(records)} configurations -> {config.out_path}")

@@ -7,16 +7,17 @@ independent and reproducible regardless of the order in which they are
 consumed, so Monte Carlo work can be split across workers without
 changing any result.
 
-Trial loops are partitioned into fixed blocks of ``TRIAL_BLOCK`` trials;
-block ``b`` of a run draws everything from ``substream(seed, ..., b)``.
-The block size is a constant of the implementation (never a function of
-the worker count), which makes parallel and sequential runs bit-identical.
+Monte Carlo runs go through :func:`run_trials`, which splits them into
+fixed blocks of ``TRIAL_BLOCK`` trials; block ``b`` of a run draws
+everything from ``substream(seed, b)``.  The block size is a constant of
+the implementation (never a function of the worker count), which makes
+parallel and sequential runs bit-identical.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 # numpy loads numpy.random on first use; every command draws, so load it with the package
@@ -50,18 +51,21 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def block_ranges(trials: int, block: int = TRIAL_BLOCK) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(block_index, lo, hi)`` covering ``range(trials)``."""
+def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object], workers: int = 1) -> list:
+    """``draw(substream(seed, b), count)`` for each block ``b`` of ``TRIAL_BLOCK`` trials, in block order.
+
+    ``count`` is ``TRIAL_BLOCK`` except in the last block.  Blocks run on up to
+    ``workers`` threads; what block ``b`` draws does not depend on ``workers``.
+    """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    for index, lo in enumerate(range(0, trials, block)):
-        yield index, lo, min(lo + block, trials)
+    check_seed(seed)
+    counts = [min(TRIAL_BLOCK, trials - lo) for lo in range(0, trials, TRIAL_BLOCK)]
 
+    def block(index: int):
+        return draw(substream(seed, index), counts[index])
 
-def map_blocks(fn: Callable[[int, int, int], object], blocks: Iterable[tuple], workers: int = 1) -> list:
-    """Apply ``fn(block_index, lo, hi)`` over ``blocks`` on up to ``workers`` threads, in block order."""
-    blocks = list(blocks)
-    if workers <= 1 or len(blocks) == 1:
-        return [fn(*b) for b in blocks]
+    if workers <= 1 or len(counts) == 1:
+        return [block(index) for index in range(len(counts))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda b: fn(*b), blocks))
+        return list(pool.map(block, range(len(counts))))

@@ -19,7 +19,6 @@ harness is eps, delta <= 0.5; larger values up to 0.99 are accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError
 
@@ -27,12 +26,10 @@ Q_FLOOR = 2.0**-32
 
 __all__ = [
     "Q_FLOOR",
-    "SparsitySpec",
     "q_theorem1",
     "q_ailon_chazelle",
     "q_lower_threshold",
     "choose_k",
-    "expected_nnz",
 ]
 
 
@@ -115,45 +112,3 @@ def choose_k(eps: float, *, n: float | None = None, delta: float | None = None, 
     if k < 1:
         raise ParameterError(f"derived k must be >= 1, got {k}")
     return k
-
-
-def expected_nnz(k: int, d: int, q: float) -> float:
-    """Expected number of non-zero entries of the projection, k*d*q."""
-    if k < 1 or d < 1:
-        raise ParameterError(f"k and d must be >= 1, got k={k}, d={d}")
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"q must be in [0, 1], got {q}")
-    return float(k) * float(d) * float(q)
-
-
-@dataclass(frozen=True)
-class SparsitySpec:
-    """One scheduler evaluation: eps, dimension, and either n points or delta."""
-
-    eps: float
-    d: int
-    n_points: float | None = None
-    delta: float | None = None
-    c_q: float = 1.0
-    c_k: float = 1.0
-
-    def __post_init__(self) -> None:
-        if (self.n_points is None) == (self.delta is None):
-            raise ParameterError("exactly one of n_points and delta must be set")
-        _check_eps(self.eps)
-        _check_d(self.d)
-        _check_multiplier(self.c_q, "c_q")
-        _check_multiplier(self.c_k, "c_k")
-        if self.n_points is not None:
-            _check_n(self.n_points)
-        if self.delta is not None:
-            _check_delta(self.delta)
-
-    def q(self) -> float:
-        if self.n_points is not None:
-            return q_theorem1(self.eps, self.n_points, self.d, self.c_q)
-        assert self.delta is not None
-        return q_lower_threshold(self.eps, self.delta, self.d, self.c_q)
-
-    def k(self) -> int:
-        return choose_k(self.eps, n=self.n_points, delta=self.delta, c_k=self.c_k)

@@ -49,7 +49,6 @@ __all__ = [
     "sample_signs",
     "apply_signs",
     "sample_projection",
-    "project",
     "apply_phd",
     "embed",
     "embed_with",
@@ -377,14 +376,6 @@ def _project_core(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray, v: 
     np.cumsum(weights * v[cols], out=csum[1:])
     bounds = csum[indptr]
     return bounds[1:] - bounds[:-1]
-
-
-def project(P: SparseProjection, v: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product P @ v in O(nnz)."""
-    _check_float_vector(v)
-    if v.shape[0] != P.d:
-        raise DimensionError(f"length mismatch: v has {v.shape[0]}, projection has d={P.d}")
-    return _project_core(P.indptr, P.cols, P.weights, v)
 
 
 # Largest dense copy of P (k * d float64 cells, 16 MB) that a call may build.

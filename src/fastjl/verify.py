@@ -9,9 +9,11 @@ and a bound >= 1 is vacuous.  Exact oracles (binomial tails, Gaussian
 square tails) use stable log-space summation and the complementary error
 function.
 
-Trials are drawn in fixed blocks of :data:`fastjl.rng.TRIAL_BLOCK`; block
-``b`` uses the stream ``(seed, b)``, so runs are reproducible and can be
-distributed over workers without changing any count.
+Every Monte Carlo estimator draws its trials through
+:func:`fastjl.rng.run_trials`, in fixed blocks of
+:data:`fastjl.rng.TRIAL_BLOCK`; block ``b`` uses the stream ``(seed, b)``, so
+runs are reproducible and can be distributed over workers without changing
+any count.
 
 Unknown absolute constants (the sub-exponential constant, the chi-square
 lower-tail constants ``c3``/``C3``) are caller-supplied parameters and are
@@ -23,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
 from .instances import VectorDataset, hard_vector
-from .rng import block_ranges, check_seed, map_blocks, substream
+from .rng import run_trials
 from .sparsity import choose_k
 from .transform import (
     JlParams,
@@ -57,8 +59,7 @@ __all__ = [
     "BoundCheck",
     "run_bound_check",
     "default_bound_grid",
-    "ZSample",
-    "ZSampleBatch",
+    "ZStatistics",
     "simulate_z_statistics",
     "estimate_failure_rate",
     "coord_exceedance_rate",
@@ -136,50 +137,28 @@ class Verdict(Enum):
 # captures on the worst-case vector with m equal coordinates
 
 
-class ZSample(NamedTuple):
-    max_z: float
-    sum_z: float
-    sum_zsq: float
-
-
-@dataclass(frozen=True)
-class ZSampleBatch(Sequence):
-    """Vectorized sequence of ZSample draws."""
+class ZStatistics(NamedTuple):
+    """Per-trial max, sum and sum of squares of the k values."""
 
     max_z: np.ndarray
     sum_z: np.ndarray
     sum_zsq: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.max_z)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ZSampleBatch(self.max_z[i], self.sum_z[i], self.sum_zsq[i])
-        return ZSample(float(self.max_z[i]), float(self.sum_z[i]), float(self.sum_zsq[i]))
-
 
 def simulate_z_statistics(
     m: int, q: float, k: int, trials: int, seed: int, workers: int = 1
-) -> ZSampleBatch:
+) -> ZStatistics:
     """Draw (max, sum, sum of squares) of k independent Binomial(m, q)/m values per trial."""
     if m < 1 or k < 1:
         raise ParameterError(f"m and k must be >= 1, got m={m}, k={k}")
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must be in (0, 1], got {q}")
-    check_seed(seed)
 
-    def one_block(index: int, lo: int, hi: int):
-        rng = substream(seed, index)
-        z = rng.binomial(m, q, size=(hi - lo, k)) / m
+    def draw(rng: np.random.Generator, count: int):
+        z = rng.binomial(m, q, size=(count, k)) / m
         return z.max(axis=1), z.sum(axis=1), (z * z).sum(axis=1)
 
-    parts = map_blocks(one_block, block_ranges(trials), workers)
-    return ZSampleBatch(
-        max_z=np.concatenate([p[0] for p in parts]),
-        sum_z=np.concatenate([p[1] for p in parts]),
-        sum_zsq=np.concatenate([p[2] for p in parts]),
-    )
+    return ZStatistics(*map(np.concatenate, zip(*run_trials(seed, trials, draw, workers))))
 
 
 # --------------------------------------------------------------------------
@@ -516,8 +495,9 @@ def estimate_failure_rate(
     take distances from the Gram matrix, recomputing pairs near a window edge
     with the direct formula, so every verdict is the direct formula's.
     Memory is O(chunk) for single vectors and O(n^2 + n k) for n points.
-    Block ``b`` of :data:`fastjl.rng.TRIAL_BLOCK` trials draws from
-    ``substream(seed, b)``, so counts are the same at every worker count.
+    Trials go through :func:`fastjl.rng.run_trials`: block ``b`` of
+    :data:`fastjl.rng.TRIAL_BLOCK` trials draws from ``substream(seed, b)``, so
+    counts are the same at every worker count.
     """
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
@@ -533,16 +513,15 @@ def estimate_failure_rate(
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
 
-        def one_block(index: int, lo: int, hi: int) -> int:
-            rng = substream(params.seed, index)
+        def draw(rng: np.random.Generator, count: int) -> int:
             failures = 0
-            for _ in range(hi - lo):
+            for _ in range(count):
                 signs = _draw_signs(rng, d)
                 emb = _phd(points, signs, *_draw_projection_arrays(rng, k, d, q), k)
                 failures += _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion, flat=flat)
             return failures
 
-        return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
+        return TailEstimate.from_counts(sum(run_trials(params.seed, trials, draw, workers)), trials)
 
     fixed = None if callable(source) else np.asarray(source, dtype=np.float64)
     if fixed is not None:
@@ -587,13 +566,12 @@ def estimate_failure_rate(
         ratio_sq = var.reshape(t, k).sum(axis=1) / (q * k * x_sq)
         return int(np.count_nonzero(_norm_window_fails(ratio_sq, eps, criterion)))
 
-    def one_block(index: int, lo: int, hi: int) -> int:
-        rng = substream(params.seed, index)
+    def draw(rng: np.random.Generator, count: int) -> int:
         n = _gap_batch(step * k * d, q)
         scratch = [np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)]
-        return sum(one_chunk(rng, min(step, hi - start), scratch) for start in range(lo, hi, step))
+        return sum(one_chunk(rng, min(step, count - start), scratch) for start in range(0, count, step))
 
-    return TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
+    return TailEstimate.from_counts(sum(run_trials(params.seed, trials, draw, workers)), trials)
 
 
 def coord_exceedance_rate(
@@ -613,13 +591,11 @@ def coord_exceedance_rate(
     threshold = math.sqrt(threshold_c * math.log(n) / d)
     rows_per_batch = max(1, (1 << 21) // d)
 
-    def one_block(index: int, lo: int, hi: int) -> int:
-        rng = substream(seed, index)
-        block = np.empty(min(rows_per_batch, hi - lo) * d)
+    def draw(rng: np.random.Generator, count: int) -> int:
+        block = np.empty(min(rows_per_batch, count) * d)
         failures = 0
-        remaining = hi - lo
-        while remaining:
-            rows = min(rows_per_batch, remaining)
+        for start in range(0, count, rows_per_batch):
+            rows = min(rows_per_batch, count - start)
             u = block[: rows * d]
             # rng.integers in pieces gives the stream of one call, without an int64 copy of u
             for c in range(0, len(u), _CHUNK_CELLS):
@@ -630,11 +606,9 @@ def coord_exceedance_rate(
             u *= x
             _fwht_last_axis(u)
             failures += int(np.count_nonzero(np.abs(u, out=u).max(axis=1) > threshold))
-            remaining -= rows
         return failures
 
-    parts = map_blocks(one_block, block_ranges(trials), workers)
-    return TailEstimate.from_counts(sum(parts), trials)
+    return TailEstimate.from_counts(sum(run_trials(seed, trials, draw, workers)), trials)
 
 
 # --------------------------------------------------------------------------
@@ -770,13 +744,12 @@ def chisq_lower_tail_check(
     exponent = -C3 * x * x / norm_sq
     bound = c3 * (0.0 if exponent < -745.0 else math.exp(exponent))
 
-    def one_block(index: int, lo: int, hi: int) -> int:
-        rng = substream(seed, index)
-        g = rng.standard_normal((hi - lo, len(w)))
+    def draw(rng: np.random.Generator, count: int) -> int:
+        g = rng.standard_normal((count, len(w)))
         stat = (w * (g * g - 1.0)).sum(axis=1)
         return int(np.count_nonzero(stat >= x))
 
-    estimate = TailEstimate.from_counts(sum(map_blocks(one_block, block_ranges(trials), workers)), trials)
+    estimate = TailEstimate.from_counts(sum(run_trials(seed, trials, draw, workers)), trials)
     verdict = Verdict.PASS if estimate.wilson_hi >= bound else Verdict.FAIL
     return ChiSquareTailCheck(estimate=estimate, bound=bound, verdict=verdict, c3=c3, C3=C3)
 
@@ -888,11 +861,8 @@ def lower_bound_witness(
     inst = hard_vector(delta, d)
     k = choose_k(eps, delta=delta, c_k=1.0)
     m = inst.m
-    check_seed(seed)
 
-    def one_block(index: int, lo: int, hi: int):
-        rng = substream(seed, index)
-        count = hi - lo
+    def draw(rng: np.random.Generator, count: int):
         z = rng.binomial(m, q, size=(count, k)) / m
         n2 = rng.standard_normal((count, k)) ** 2
         terms = z * n2 / q
@@ -902,13 +872,8 @@ def lower_bound_witness(
         failed = (total <= (1.0 - eps) * k) | (total >= (1.0 + eps) * k)
         return first, total - first, total, failed, mx, total - mx
 
-    parts = map_blocks(one_block, block_ranges(trials), workers)
-    first_term = np.concatenate([p[0] for p in parts])
-    rest_sum = np.concatenate([p[1] for p in parts])
-    total = np.concatenate([p[2] for p in parts])
-    failed = np.concatenate([p[3] for p in parts])
-    max_term = np.concatenate([p[4] for p in parts])
-    rest_excl = np.concatenate([p[5] for p in parts])
+    parts = run_trials(seed, trials, draw, workers)
+    first_term, rest_sum, total, failed, max_term, rest_excl = map(np.concatenate, zip(*parts))
     estimate = TailEstimate.from_counts(int(np.count_nonzero(failed)), trials)
     return WitnessReport(
         eps=eps, delta=float(delta), d=d, q=float(q), k=k, m=m, level=inst.level,
@@ -944,11 +909,10 @@ def total_mass_statistic(
     r = k * m
     threshold = k + math.sqrt(math.log(1.0 / (256.0 * delta)) * (2**inst.level) * k / (8.0 * d * q))
 
-    def one_block(index: int, lo: int, hi: int):
-        rng = substream(seed, index)
-        return rng.binomial(r, q, size=hi - lo) / (m * q)
+    def draw(rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.binomial(r, q, size=count) / (m * q)
 
-    samples = np.concatenate(map_blocks(one_block, block_ranges(trials), workers))
+    samples = np.concatenate(run_trials(seed, trials, draw, workers))
     successes = int(np.count_nonzero(samples >= threshold))
     return TotalMassResult(
         estimate=TailEstimate.from_counts(successes, trials),
@@ -987,13 +951,12 @@ def mgf_premise_estimate(trials: int, seed: int, workers: int = 1) -> MgfPremise
     integrates exp(-0.15 z^2), which is finite.
     """
 
-    def one_block(index: int, lo: int, hi: int):
-        rng = substream(seed, index)
-        z_sq = 2.0 * rng.standard_normal(hi - lo) ** 2
+    def draw(rng: np.random.Generator, count: int):
+        z_sq = 2.0 * rng.standard_normal(count) ** 2
         x = math.sqrt(2.0) * np.exp((MGF_RATE - 0.25) * z_sq - MGF_RATE)
         return float(x.sum()), float((x * x).sum())
 
-    parts = map_blocks(one_block, block_ranges(trials), workers)
+    parts = run_trials(seed, trials, draw, workers)
     total = math.fsum(p[0] for p in parts)
     total_sq = math.fsum(p[1] for p in parts)
     mean = total / trials

@@ -389,6 +389,26 @@ class TestBenchCommand:
         assert main(["bench", "--methods", "warp", "--d", "64", "--k", "8",
                      "--q", "0.1", "--out", str(tmp_path / "b.csv")]) == 2
 
+    def test_q_zero_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["bench", "--d", "64", "--k", "8", "--q", "0", "--reps", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "q must be in (0, 1]" in err[0]
+        assert not out.exists()
+
+    def test_parallel_apply_flag_is_gone(self, tmp_path, capsys):
+        assert main(["bench", "--d", "64", "--k", "8", "--q", "0.1", "--parallel-apply", "2",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert "--parallel-apply" in capsys.readouterr().err
+
+    def test_parallel_apply_config_key_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("parallel_apply=2\n")
+        assert main(["bench", "--config", str(cfg), "--d", "64", "--k", "8", "--q", "0.1",
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "parallel_apply" in err[0]
+
 
 class TestReplay:
     def _strip_timing(self, line: str) -> dict:
@@ -459,3 +479,17 @@ def test_no_fastjl_module_loads_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a deletion must not leave a dangling name in a public __all__
+    import importlib
+    import pkgutil
+
+    import fastjl
+
+    modules = [fastjl] + [importlib.import_module(m.name)
+                          for m in pkgutil.iter_modules(fastjl.__path__, "fastjl.")]
+    missing = [f"{m.__name__}.{name}" for m in modules for name in getattr(m, "__all__", ())
+               if not hasattr(m, name)]
+    assert missing == []

@@ -123,12 +123,16 @@ class TestVectorIo:
     def test_round_trip_bit_exact(self, tmp_path, suffix):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 4))
+        data[1] = [-0.0, 5e-324, 1e308, 1.0]  # signed zero, smallest subnormal, near the largest float
         ds = VectorDataset(d=4, vectors=data)
         path = tmp_path / f"x{suffix}"
         write_vectors(path, ds)
         back = read_vectors(path)
         assert back.d == 4
         assert np.array_equal(back.vectors, data)
+        assert np.array_equal(np.signbit(back.vectors), np.signbit(data))
+        if suffix == ".csv":  # 17 significant digits, shortest exponent form
+            assert path.read_text().splitlines()[1] == "-0,4.9406564584124654e-324,1e+308,1"
 
     def test_binary_header_layout(self, tmp_path):
         path = tmp_path / "x.fjlv"
@@ -256,6 +260,7 @@ class TestBlockIo:
     @pytest.mark.parametrize("suffix", [".fjlv", ".csv"])
     def test_writer_blocks_match_write_vectors(self, tmp_path, suffix):
         data = np.random.default_rng(0).standard_normal((7, 3))
+        data[2] = [-0.0, 5e-324, 1e308]
         whole, blocks = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
         write_vectors(whole, VectorDataset(d=3, vectors=data))
         with vector_writer(blocks, 3, 7) as write:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastjl import ParameterError, SparsitySpec, choose_k, expected_nnz
+from fastjl import ParameterError, choose_k
 from fastjl import q_ailon_chazelle, q_lower_threshold, q_theorem1
 from fastjl.sparsity import Q_FLOOR
 
@@ -110,19 +110,6 @@ class TestChooseK:
         assert choose_k(eps_lo, n=1e5) >= choose_k(eps_hi, n=1e5) >= 1
 
 
-class TestExpectedNnz:
-    def test_products(self):
-        assert expected_nnz(266, 1024, 0.016) == pytest.approx(4358.144, rel=1e-12)
-        assert expected_nnz(10, 10, 0.0) == 0.0
-        assert expected_nnz(1382, 65536, 2.1081e-4) == pytest.approx(1.9093e4, rel=1e-3)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            expected_nnz(0, 4, 0.5)
-        with pytest.raises(ParameterError):
-            expected_nnz(4, 4, 1.5)
-
-
 class TestSavingsFactor:
     def test_ratio_bounded_by_claimed_savings(self):
         # q_theorem1 / q_ailon_chazelle <= 2 / min(ln(1/eps)/eps, ln n) on a
@@ -133,21 +120,3 @@ class TestSavingsFactor:
                     ratio = q_theorem1(eps, n, d) / q_ailon_chazelle(n, d)
                     cap = 2.0 / min(math.log(1.0 / eps) / eps, math.log(n))
                     assert ratio <= cap + 1e-12, (eps, n, d, ratio, cap)
-
-
-class TestSparsitySpec:
-    def test_n_mode(self):
-        spec = SparsitySpec(eps=0.1, d=65536, n_points=1e6)
-        assert spec.q() == q_theorem1(0.1, 1e6, 65536)
-        assert spec.k() == 1382
-
-    def test_delta_mode(self):
-        spec = SparsitySpec(eps=0.25, d=1024, delta=0.05)
-        assert spec.q() == q_lower_threshold(0.25, 0.05, 1024)
-        assert spec.k() == 48
-
-    def test_exactly_one_mode(self):
-        with pytest.raises(ParameterError):
-            SparsitySpec(eps=0.1, d=64, n_points=10, delta=0.1)
-        with pytest.raises(ParameterError):
-            SparsitySpec(eps=0.1, d=64)

@@ -18,12 +18,10 @@ from fastjl import (
     embed,
     embed_with,
     fwht_inplace,
-    project,
     sample_projection,
     sample_signs,
 )
 from fastjl import transform
-from fastjl.sparsity import expected_nnz
 from fastjl.transform import (
     DENSE_PROJECTION_MAX_CELLS,
     _CHUNK_CELLS,
@@ -197,7 +195,7 @@ class TestSampleProjection:
         # 100 seeds at k=100, d=1000, q=0.01: mean nnz within 3 sigma of Binomial(1e5, 0.01)
         k, d, q = 100, 1000, 0.01
         nnz = [sample_projection(k, d, q, seed=s).nnz for s in range(100)]
-        mean = expected_nnz(k, d, q)
+        mean = k * d * q
         sigma_mean = math.sqrt(k * d * q * (1 - q) / len(nnz))
         assert abs(np.mean(nnz) - mean) < 3 * sigma_mean
 
@@ -292,10 +290,12 @@ class TestGeometricPositions:
             assert np.array_equal(P.indptr, np.searchsorted(pos, np.arange(0, 10 * 256, 256)))
 
 
+def _gather(P, v):
+    return transform._project_core(P.indptr, P.cols, P.weights, v)
+
+
 class TestProject:
     def test_single_entry(self):
-        P = sample_projection(3, 4, 1.0, seed=0)
-        # craft a single-entry matrix on top of the sampled scaffold
         from fastjl import SparseProjection
 
         single = SparseProjection(
@@ -305,7 +305,7 @@ class TestProject:
             weights=np.array([1.75]),
         )
         v = np.array([0.0, 0.0, 3.0, 0.0])
-        out = project(single, v)
+        out = _gather(single, v)
         assert np.allclose(out, [5.25, 0.0, 0.0], atol=1e-15)
 
     def test_empty_row_gives_zero(self):
@@ -317,18 +317,19 @@ class TestProject:
             cols=np.array([1], dtype=np.int64),
             weights=np.array([2.0]),
         )
-        assert np.array_equal(project(P, np.array([5.0, 7.0])), [0.0, 14.0])
+        assert np.array_equal(_gather(P, np.array([5.0, 7.0])), [0.0, 14.0])
 
     def test_linearity(self):
         P = sample_projection(9, 128, 0.25, seed=8)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(128)
-        assert np.abs(project(P, 3.5 * v) - 3.5 * project(P, v)).max() < 1e-9
+        assert np.abs(_gather(P, 3.5 * v) - 3.5 * _gather(P, v)).max() < 1e-9
 
     def test_dimension_mismatch(self):
+        # the gather trusts its caller; the one-vector entry point checks the length first
         P = sample_projection(2, 8, 0.5, seed=0)
         with pytest.raises(DimensionError):
-            project(P, np.zeros(4))
+            embed_with(np.zeros(4), sample_signs(4, 0), P)
 
 
 class TestEmbed:

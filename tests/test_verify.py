@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from fastjl.verify import (
     wilson_interval,
 )
 from fastjl.instances import random_unit_vector
-from fastjl.rng import TRIAL_BLOCK, block_ranges, derive_seed, substream
+from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
 
 from helpers import wilson_reference
@@ -319,12 +321,6 @@ class TestZStatistics:
         assert np.all(batch.max_z <= 1.0)
         assert np.all(batch.sum_zsq <= batch.sum_z + 1e-12)
         assert np.all(batch.sum_z <= 6.0 + 1e-12)
-
-    def test_sequence_protocol(self):
-        batch = simulate_z_statistics(m=4, q=0.5, k=2, trials=10, seed=4)
-        assert len(batch) == 10
-        sample = batch[3]
-        assert sample.sum_zsq <= sample.sum_z
 
     def test_parallel_matches_sequential(self):
         a = simulate_z_statistics(8, 0.2, 4, 20_000, seed=5, workers=1)
@@ -650,12 +646,96 @@ class TestMgfPremise:
         # plain draws of exp(0.3 (N^2 - 1)) from the same normals: infinite variance, so
         # their 3-standard-error test fails here although the mean is fine
         parts = []
-        for index, lo, hi in block_ranges(trials):
-            x = np.exp(verify.MGF_RATE * (substream(seed, index).standard_normal(hi - lo) ** 2 - 1.0))
+        for index, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
+            normals = substream(seed, index).standard_normal(min(TRIAL_BLOCK, trials - lo))
+            x = np.exp(verify.MGF_RATE * (normals**2 - 1.0))
             parts.append((x.sum(), (x * x).sum()))
         mean = math.fsum(p[0] for p in parts) / trials
         var = (math.fsum(p[1] for p in parts) - trials * mean * mean) / (trials - 1)
         assert abs(mean - est.target) > 3.0 * math.sqrt(var / trials)
+
+
+class TestRunTrials:
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ParameterError):
+            run_trials(0, 0, lambda rng, count: pytest.fail("drew a block"))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ParameterError):
+            run_trials(seed, 10, lambda rng, count: pytest.fail("drew a block"))
+
+    def test_block_counts(self):
+        assert run_trials(3, 2 * TRIAL_BLOCK + 5, lambda rng, count: count) == [4096, 4096, 5]
+
+    def test_block_order_at_three_workers(self):
+        def draw(rng, count):
+            if count == TRIAL_BLOCK:
+                time.sleep(0.05)  # the short last block finishes first
+            return count, int(rng.integers(2**62))
+
+        expected = [(count, int(substream(4, b).integers(2**62)))
+                    for b, count in enumerate((TRIAL_BLOCK, TRIAL_BLOCK, 5))]
+        assert run_trials(4, 2 * TRIAL_BLOCK + 5, draw, workers=3) == expected
+
+
+PINNED_TRIALS = 2 * TRIAL_BLOCK + 5  # three blocks, the last one short
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _pin_witness(workers):
+    r = lower_bound_witness(0.25, 0.05, 256, 0.02, PINNED_TRIALS, seed=36, workers=workers)
+    return _sha(r.first_term, r.rest_sum, r.total, r.failed, r.max_term, r.rest_excluding_max)
+
+
+def _pin_mgf(workers):
+    est = mgf_premise_estimate(PINNED_TRIALS, seed=38, workers=workers)
+    return est.mean.hex(), est.stderr.hex()
+
+
+def _pin_unit_vector():
+    x = np.random.default_rng(9).standard_normal(64)
+    return x / np.linalg.norm(x)
+
+
+T = PINNED_TRIALS
+# Outputs of every Monte Carlo estimator over three blocks: counts, or a sha256
+# prefix of the arrays.  A change of any random stream shows here.
+STREAM_PINS = {
+    "simulate_z_statistics": (
+        lambda w: _sha(*simulate_z_statistics(8, 0.2, 4, T, seed=31, workers=w)), "7211e8cc00f96922"),
+    "estimate_failure_rate": (
+        lambda w: estimate_failure_rate(JlParams(d=64, k=16, q=0.2, eps=0.2, seed=32),
+                                        np.random.default_rng(7).standard_normal(64), T,
+                                        workers=w).successes, 5038),
+    "estimate_failure_rate_pairwise": (
+        lambda w: estimate_failure_rate(JlParams(d=16, k=16, q=0.5, eps=0.8, seed=33),
+                                        np.random.default_rng(8).standard_normal((6, 16)), T,
+                                        pairwise=True, workers=w).successes, 2415),
+    "coord_exceedance_rate": (
+        lambda w: coord_exceedance_rate(_pin_unit_vector(), 2.0, 100.0, T, seed=34, workers=w).successes, 953),
+    "chisq_lower_tail_check": (
+        lambda w: chisq_lower_tail_check([1.0, 0.5, 0.25], 2.0, T, 0.1, 2.0, seed=35,
+                                         workers=w).estimate.successes, 895),
+    "lower_bound_witness": (_pin_witness, "d8fcd983bab96f22"),
+    "total_mass_statistic": (
+        lambda w: _sha(total_mass_statistic(0.25, 1e-3, 1024, 0.01, T, seed=37, workers=w).samples),
+        "267b6cb683c61c76"),
+    "mgf_premise_estimate": (_pin_mgf, ("0x1.2aa8cb6c52ca8p+0", "0x1.1d17af7421752p-9")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_PINS))
+def test_streams_are_pinned(name):
+    run, expected = STREAM_PINS[name]
+    assert run(1) == expected
+    assert run(3) == expected
 
 
 class TestRecords:

@@ -161,7 +161,8 @@ _FIELDS: dict[str, list[tuple]] = {
         ("n", "--n", float, None, "number of points for the scheduled q"),
         ("reps", "--reps", int, 9, "timed repetitions per method"),
         ("out_path", "--out", str, None, "CSV output path"),
-        *_COMMON,
+        _COMMON[0],
+        ("workers", "--workers", int, None, "accepted and echoed, but ignored: bench times one thread"),
     ],
 }
 

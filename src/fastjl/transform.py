@@ -14,6 +14,10 @@ Many rows go through one batched kernel, :func:`apply_phd`, which prepares
 Kronecker product of Sylvester blocks of size <= 64, each one BLAS product
 (a cache-blocked FWHT after FFHT: Andoni, Indyk, Laarhoven, Razenshteyn and
 Schmidt, NeurIPS 2015); ``P`` is a gather, or a product with a dense copy.
+A batch of at least ``k`` rows that pays for the dense copy folds ``H`` and
+``D`` into it as well, so each of its rows costs one dense ``k x d`` product,
+as the dense Gaussian map does; the FWHT's saving shows in the one-row path
+and in batches too large or too sparse for the copy.
 
 A dense Gaussian embedding is provided as the classical reference.
 All samplers are pure functions of their seed; see :mod:`fastjl.rng`.
@@ -92,7 +96,7 @@ _MAX_HADAMARD_BLOCK = 64
 _CHUNK_CELLS = 1 << 18
 
 # Slots of the per-thread scratch: the FWHT's two Kronecker intermediates,
-# the kernel's padded signed rows and a one-shot kernel's dense copy of P.
+# the kernel's padded signed rows and a one-shot kernel's dense matrix.
 _FWHT_SLOTS, _ROWS_SLOT, _DENSE_P_SLOT = (0, 1), 2, 3
 
 
@@ -388,6 +392,10 @@ def _dense_projection_pays(rows: int, nnz: int, cells: int) -> bool:
     Per row the gather costs about 8 ns per entry and the product 0.04 ns per
     cell; the copy costs 0.4 ns per cell plus 20 ns per entry to build (2-core
     x86, one BLAS thread).  The rule states that in units of one gathered entry.
+    When ``rows >= k`` the product also replaces each row's sign, padding and
+    FWHT, and the build adds an FWHT of the copy's ``k`` rows (see
+    :class:`_PhdKernel`): ``rows`` FWHTs saved for ``k`` spent, so there the
+    copy pays at least as well as the rule says.
     """
     return cells <= DENSE_PROJECTION_MAX_CELLS and cells * (1 / 20 + rows / 200) + 2.5 * nnz < rows * nnz
 
@@ -396,13 +404,23 @@ class _PhdKernel:
     """``k^{-1/2} P H D`` made ready for ``rows`` rows: the prepare step of :func:`_phd`.
 
     It scales the weights by ``k^{-1/2}`` and decides once, on the total row
-    count, whether a dense copy of P pays for itself; a caller that streams
-    its rows in batches (CLI ``embed``) so builds the copy once, and every
-    batch takes the same path as the whole set would.
+    count, how to apply P; a caller that streams its rows in batches (CLI
+    ``embed``) so prepares once, and every batch takes the same path as the
+    whole set would.  There are three paths:
+
+    * ``rows >= k`` rows that pay for a dense copy of P fold the whole map
+      into one ``k x d`` matrix ``M = k^{-1/2} P H D``: the copy's ``k`` rows
+      are transformed once (H is symmetric) and its columns signed, so a
+      chunk is one BLAS product with the caller's rows, with no padding and
+      no per-row FWHT.  Fewer rows than ``k`` transform their own rows for
+      less, so the fold stops there;
+    * fewer rows that still pay for the copy pad, sign and transform each
+      row and multiply by the dense copy of P;
+    * the rest gather P's stored entries row by row.
 
     Each chunk's padded signed rows go into the scratch of the thread that
     applies it (:class:`_ThreadScratch`).  A ``one_shot`` kernel, used for a
-    single call and then dropped, builds its dense copy of P in the building
+    single call and then dropped, builds its dense matrix in the building
     thread's scratch too, so it is valid only until the next one-shot kernel
     is built on that thread.
     """
@@ -412,11 +430,16 @@ class _PhdKernel:
         self.signs, self.indptr, self.cols = signs, indptr, cols
         self.weights = weights * k**-0.5
         self.step = max(1, _CHUNK_CELLS // d)
-        self.Pt = None
+        self.M = self.Pt = None
         if _dense_projection_pays(rows, len(cols), k * d):
-            self.Pt = _scratch.take(_DENSE_P_SLOT, d * k).reshape(d, k) if one_shot else np.empty((d, k))
-            self.Pt.fill(0.0)
-            self.Pt[cols, np.repeat(np.arange(k), np.diff(indptr))] = self.weights
+            P = (_scratch.take(_DENSE_P_SLOT, k * d) if one_shot else np.empty(k * d)).reshape(k, d)
+            P.fill(0.0)
+            P[np.repeat(np.arange(k), np.diff(indptr)), cols] = self.weights
+            if rows >= k:  # P H D: H is symmetric, so it transforms the rows of P
+                self.M = _fwht_last_axis(P)
+                self.M *= signs
+            else:
+                self.Pt = P.T
 
     def apply(self, X: np.ndarray, Y: np.ndarray, pool: Executor | None = None) -> None:
         """Write the embeddings of the rows of ``X[n, d_raw]``, ``d_raw <= d``, into ``Y[n, k]``.
@@ -433,9 +456,12 @@ class _PhdKernel:
             list(pool.map(lambda lo: self._chunk(X[lo : lo + self.step], Y[lo : lo + self.step]), bounds))
 
     def _chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
+        d_raw = X.shape[1]
+        if self.M is not None:  # padded cells are zero, so the padded columns of M drop out
+            np.matmul(X, self.M[:, :d_raw].T, out=Y)
+            return
         # the zero-padded, signed rows; a padded cell holds 0 * sign, so -0.0
         # under a negative sign, exactly as in a padded copy of the input
-        d_raw = X.shape[1]
         U = _scratch.take(_ROWS_SLOT, len(X) * len(self.signs)).reshape(len(X), -1)
         np.multiply(X, self.signs[:d_raw], out=U[:, :d_raw])
         U[:, d_raw:] = self.signs[d_raw:] * 0.0
@@ -465,11 +491,13 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     """The embeddings ``k^{-1/2} P H D x`` of the rows ``x`` of ``X[n, d]``, as ``Y[n, k]``.
 
     The kernel first prepares ``(D, P)``: it scales the weights and, when ``n``
-    rows pay for it, builds a dense copy of P.  That decision is made on the
-    total row count, so a caller streaming rows in batches through the same
-    prepared kernel gets the bits of one call on all rows.  It then applies
-    the rows in fixed chunks of about 2 MB, spread over ``workers`` threads;
-    each thread keeps its chunk scratch from call to call (see
+    rows pay for it, builds a dense copy of P; when ``n >= k`` it also folds
+    ``H`` and ``D`` into the copy (an FWHT of its ``k`` rows), so each row then
+    costs one dense ``k x d`` product and no FWHT of its own.  That decision is
+    made on the total row count, so a caller streaming rows in batches through
+    the same prepared kernel gets the bits of one call on all rows.  It then
+    applies the rows in fixed chunks of about 2 MB, spread over ``workers``
+    threads; each thread keeps its chunk scratch from call to call (see
     :class:`_PhdKernel`).  The output is bit-identical at every worker count.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:

@@ -37,6 +37,7 @@ from .transform import (
     JlParams,
     NormCriterion,
     _CHUNK_CELLS,
+    _ThreadScratch,
     _draw_projection_arrays,
     _draw_signs,
     _fwht_last_axis,
@@ -145,6 +146,10 @@ class ZStatistics(NamedTuple):
     sum_zsq: np.ndarray
 
 
+# the z-statistics' quotient and square, one block per thread (see _ThreadScratch)
+_z_scratch = _ThreadScratch()
+
+
 def simulate_z_statistics(
     m: int, q: float, k: int, trials: int, seed: int, workers: int = 1
 ) -> ZStatistics:
@@ -155,8 +160,9 @@ def simulate_z_statistics(
         raise ParameterError(f"q must be in (0, 1], got {q}")
 
     def draw(rng: np.random.Generator, count: int):
-        z = rng.binomial(m, q, size=(count, k)) / m
-        return z.max(axis=1), z.sum(axis=1), (z * z).sum(axis=1)
+        z = np.divide(rng.binomial(m, q, size=(count, k)), m, out=_z_scratch.take(0, count * k).reshape(count, k))
+        max_z, sum_z = z.max(axis=1), z.sum(axis=1)
+        return max_z, sum_z, np.square(z, out=z).sum(axis=1)  # the square takes the quotient's cells
 
     return ZStatistics(*map(np.concatenate, zip(*run_trials(seed, trials, draw, workers))))
 

@@ -22,7 +22,7 @@ from fastjl import (
 from fastjl import cli
 from fastjl.cli import RunConfig, execute, main, parse_config
 from fastjl.sparsity import q_theorem1
-from fastjl.transform import _CHUNK_CELLS
+from fastjl.transform import _CHUNK_CELLS, _phd
 
 
 def make_dataset(path, n=6, d=20, seed=0):
@@ -216,10 +216,18 @@ STEP = _CHUNK_CELLS // 1024  # rows per kernel chunk at the padded d = 1024
 
 
 def whole_file_embedding(src, dst, k, q, seed):
-    """Write what one apply_phd call over the whole padded input gives."""
-    data = pad_to_power_of_two(read_vectors(src))
+    """Write what one kernel call over all rows of the input, as read, gives.
+
+    From k rows on, the kernel multiplies the rows by the first d_raw columns of
+    its folded matrix, so for d_raw < d its bits may differ from apply_phd on the
+    zero-padded rows, which sums over d columns; the two agree to rounding.
+    """
+    raw = read_vectors(src)
+    data = pad_to_power_of_two(raw)
     diag, proj = sample_signs(data.d, seed), sample_projection(k, data.d, q, seed)
-    write_vectors(dst, VectorDataset(d=k, vectors=apply_phd(data.vectors, diag, proj)))
+    Y = _phd(raw.vectors, diag.signs, proj.indptr, proj.cols, proj.weights, k)
+    assert np.abs(Y - apply_phd(data.vectors, diag, proj)).max(initial=0.0) < 1e-12
+    write_vectors(dst, VectorDataset(d=k, vectors=Y))
 
 
 class TestStreamedEmbed:
@@ -238,7 +246,7 @@ class TestStreamedEmbed:
         whole_file_embedding(src, ref, 32, 0.05, 9)
         assert dst.read_bytes() == ref.read_bytes()
 
-    # 1 row takes the gather, the others the dense copy of P; 4 * STEP + 3 rows
+    # 1 row takes the gather, the others fold (D, P) into a dense copy of P; 4 * STEP + 3 rows
     # span more than one batch at both worker counts
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("d_raw", [1000, 1024])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from fastjl import transform
 from fastjl.transform import (
     DENSE_PROJECTION_MAX_CELLS,
     _CHUNK_CELLS,
+    _PhdKernel,
     _dense_projection_pays,
     _fwht_last_axis,
     _gap_batch,
@@ -416,14 +418,14 @@ class TestApplyPhd:
         diag, proj = sample_signs(d, seed=d), sample_projection(k, d, q, seed=d)
         X = np.random.default_rng(d).standard_normal((40, d))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        # one row takes the gather, 40 rows the dense copy of P
+        # one row takes the gather; 40 rows, at least k, fold (D, P) into a dense copy of P
         assert not _dense_projection_pays(1, proj.nnz, k * d)
         assert _dense_projection_pays(40, proj.nnz, k * d)
         want = dense_phd(X, diag, proj)
         assert np.abs(apply_phd(X, diag, proj) - want).max() < 1e-12
         assert np.abs(apply_phd(X[:1], diag, proj) - want[:1]).max() < 1e-12
 
-    # the first takes the dense copy of P, the second (k * d above the cap) the gather
+    # the first folds (D, P) into a dense copy of P, the second (k * d above the cap) takes the gather
     @pytest.mark.parametrize("d, k, q", [(1024, 32, 0.05), (16384, 256, 0.002)])
     def test_rows_straddling_chunks(self, d, k, q):
         chunk_rows = _CHUNK_CELLS // d
@@ -451,11 +453,23 @@ class TestApplyPhd:
         assert np.array_equal(got, want)
 
     def test_second_call_allocates_only_its_output(self):
-        # tracemalloc sees numpy's buffers; 8 chunks and 5 rows at d = 1024 take the dense copy of P
+        # tracemalloc sees numpy's buffers; 8 chunks and 5 rows at d = 1024 fold (D, P) into one matrix
         d, k = 1024, 64
         diag, proj = sample_signs(d, seed=2), sample_projection(k, d, 0.05, seed=2)
         X = np.random.default_rng(2).standard_normal((8 * (_CHUNK_CELLS // d) + 5, d))
         assert _dense_projection_pays(len(X), proj.nnz, k * d)
+        self.assert_second_call_allocates_only_its_output(X, diag, proj)
+
+    def test_second_call_below_k_rows_allocates_only_its_output(self):
+        # 2 chunks and 8 rows at d = 16384, fewer than k, transform their rows and use the dense copy of P
+        d, k = 16384, 64
+        diag, proj = sample_signs(d, seed=2), sample_projection(k, d, 0.05, seed=2)
+        X = np.random.default_rng(2).standard_normal((2 * (_CHUNK_CELLS // d) + 8, d))
+        assert len(X) < k and _dense_projection_pays(len(X), proj.nnz, k * d)
+        self.assert_second_call_allocates_only_its_output(X, diag, proj)
+
+    @staticmethod
+    def assert_second_call_allocates_only_its_output(X, diag, proj):
         want = apply_phd(X, diag, proj)  # grows this thread's scratch
         tracemalloc.start()
         try:
@@ -488,6 +502,90 @@ class TestApplyPhd:
         assert not any(_dense_projection_pays(1, nnz, 4096) for nnz in (0, 64, 4096))
         assert _dense_projection_pays(256, 4096, 1 << 18)
         assert not _dense_projection_pays(10**6, 1 << 22, DENSE_PROJECTION_MAX_CELLS + 1)
+
+
+def _folded_case(d_raw):
+    """A (D, P) at d = 1024, k = 64, and 2 chunks and 5 unit rows ``X[n, d_raw]``: enough rows to fold."""
+    d, k = 1024, 64
+    diag, proj = sample_signs(d, seed=6), sample_projection(k, d, 0.05, seed=6)
+    X = np.random.default_rng(6).standard_normal((2 * (_CHUNK_CELLS // d) + 5, d_raw))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    assert len(X) >= k and _dense_projection_pays(len(X), proj.nnz, k * d)
+    return diag, proj, X
+
+
+def _kernel(diag, proj, rows):
+    return _PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, rows)
+
+
+class TestFoldedKernel:
+    """At least k rows that pay for a dense copy of P apply ``M = k^{-1/2} P H D`` as one product."""
+
+    @pytest.mark.parametrize("d_raw", [1000, 1024])
+    def test_matches_dense_formula(self, d_raw):
+        diag, proj, X = _folded_case(d_raw)
+        kernel = _kernel(diag, proj, len(X))
+        assert kernel.M is not None and kernel.Pt is None
+        Y = np.empty((len(X), proj.k))
+        kernel.apply(X, Y)
+        padded = np.zeros((len(X), proj.d))
+        padded[:, :d_raw] = X
+        assert np.abs(Y - dense_phd(padded, diag, proj)).max() < 1e-12
+
+    @pytest.mark.parametrize("d_raw", [1000, 1024])
+    def test_same_bits_at_every_worker_count(self, d_raw):
+        diag, proj, X = _folded_case(d_raw)
+        want = transform._phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers=1)
+        for workers in (2, 3):
+            got = transform._phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers=workers)
+            assert np.array_equal(got, want)
+
+    def test_batches_through_one_kernel_match_one_call(self):
+        # CLI embed streams whole chunks through a kernel prepared for the whole file
+        diag, proj, X = _folded_case(1000)
+        kernel = _kernel(diag, proj, len(X))
+        batch = 2 * kernel.step
+        Y = np.empty((len(X), proj.k))
+        for lo in range(0, len(X), batch):
+            kernel.apply(X[lo : lo + batch], Y[lo : lo + batch])
+        assert np.array_equal(Y, transform._phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k))
+
+    def test_second_call_copies_neither_matrix(self):
+        # a copy of M[:, :d_raw].T would take k * d_raw * 8 = 512,000 bytes, a copy of a chunk 2 MB
+        diag, proj, X = _folded_case(1000)
+        kernel = _kernel(diag, proj, len(X))
+        Y = np.empty((len(X), proj.k))
+        kernel.apply(X, Y)
+        want = Y.copy()
+        tracemalloc.start()
+        try:
+            kernel.apply(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(Y, want)
+        assert peak < 16 * 1024
+
+
+# sha256 prefixes of apply_phd outputs on the paths that do not fold: fewer rows
+# than k through the dense copy of P, and through the gather.  Taken before the
+# fold existed; only the folded path's bits may move.
+@pytest.mark.parametrize(
+    "d, k, q, rows, seed, dense, pin",
+    [
+        (256, 128, 0.5, 64, 41, True, "7f6d1d154bcdf524"),
+        (1024, 288, 0.05, 40, 43, True, "d85cc85884097852"),
+        (256, 128, 0.02, 5, 42, False, "ecd449912d14cd2b"),
+    ],
+)
+def test_unfolded_paths_are_pinned(d, k, q, rows, seed, dense, pin):
+    diag, proj = sample_signs(d, seed), sample_projection(k, d, q, seed)
+    X = np.random.default_rng(seed).standard_normal((rows, d))
+    kernel = _kernel(diag, proj, rows)
+    assert kernel.M is None and (kernel.Pt is not None) == dense
+    for workers in (1, 2):
+        Y = apply_phd(X, diag, proj, workers=workers)
+        assert hashlib.sha256(Y.tobytes()).hexdigest()[:16] == pin
 
 
 class TestDenseReference:

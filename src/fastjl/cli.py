@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .instances import (
     read_vectors,
     vector_writer,
 )
-from .rng import derive_seed
+from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
 from .transform import JlParams, NormCriterion, _PhdKernel, sample_projection, sample_signs
 
@@ -94,7 +93,8 @@ class RunConfig:
 # flag > config-file > default precedence can be applied uniformly.
 _COMMON = [
     ("seed", "--seed", int, None, "master RNG seed (fallback: FASTJL_SEED, then 0)"),
-    ("workers", "--workers", int, None, "worker threads (Monte Carlo trial blocks, embed row chunks)"),
+    ("workers", "--workers", int, None,
+     f"worker threads, 1 to {MAX_WORKERS} (Monte Carlo blocks of {TRIAL_BLOCK} trials, embed row chunks)"),
 ]
 
 _FIELDS: dict[str, list[tuple]] = {
@@ -246,9 +246,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         except ValueError:
             raise ParameterError(f"FASTJL_SEED must be an integer, got {env_seed!r}") from None
     if "workers" not in resolved:
-        resolved["workers"] = 1 if command == "bench" else (os.cpu_count() or 1)
-    if resolved["workers"] < 1:
-        raise ParameterError(f"{command}: --workers must be >= 1, got {resolved['workers']}")
+        resolved["workers"] = 1 if command == "bench" else min(os.cpu_count() or 1, MAX_WORKERS)
+    if not 1 <= resolved["workers"] <= MAX_WORKERS:
+        raise ParameterError(f"{command}: --workers must be in [1, {MAX_WORKERS}], got {resolved['workers']}")
 
     for name in _REQUIRED[command]:
         if resolved.get(name) is None:
@@ -322,12 +322,9 @@ def _run_embed(config: RunConfig) -> int:
         # of kernel.step from row 0 and the output bytes match one apply_phd call
         batch = config.workers * kernel.step
         Y = np.empty((min(batch, reader.count), k))
-        with (
-            ThreadPoolExecutor(max_workers=config.workers) as pool,
-            vector_writer(config.out_path, k, reader.count) as write,
-        ):
+        with vector_writer(config.out_path, k, reader.count) as write:
             for X in reader.blocks(batch):
-                kernel.apply(X, Y[: len(X)], pool)
+                kernel.apply(X, Y[: len(X)], config.workers)
                 write(Y[: len(X)])
     print(
         f"embed: {reader.count} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
@@ -598,6 +595,9 @@ def main(argv: list[str] | None = None) -> int:
         return execute(config)
     except (FastJlError, OSError) as exc:
         print(f"fastjl: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation larger than the machine allows
+        print(f"fastjl: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -16,8 +16,9 @@ parallel and sequential runs bit-identical.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 # numpy loads numpy.random on first use; every command draws, so load it with the package
@@ -26,6 +27,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from .errors import ParameterError
 
 TRIAL_BLOCK = 4096
+MAX_WORKERS = 64
 
 _MAX_SEED = 2**64
 
@@ -51,6 +53,23 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]``, inline or on ``workers`` threads of the process's one pool.
+
+    The pool outlives the call, so its threads keep their per-thread scratch.
+    Nested calls, made from inside ``fn``, pass ``workers=1``: a pool thread
+    that waits on its own pool can deadlock.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    return list(_pool(workers).map(fn, items))
+
+
 def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object], workers: int = 1) -> list:
     """``draw(substream(seed, b), count)`` for each block ``b`` of ``TRIAL_BLOCK`` trials, in block order.
 
@@ -60,12 +79,5 @@ def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object],
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
-    counts = [min(TRIAL_BLOCK, trials - lo) for lo in range(0, trials, TRIAL_BLOCK)]
-
-    def block(index: int):
-        return draw(substream(seed, index), counts[index])
-
-    if workers <= 1 or len(counts) == 1:
-        return [block(index) for index in range(len(counts))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block, range(len(counts))))
+    return parallel_map(lambda lo: draw(substream(seed, lo // TRIAL_BLOCK), min(TRIAL_BLOCK, trials - lo)),
+                        range(0, trials, TRIAL_BLOCK), workers)

@@ -28,14 +28,13 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .rng import check_seed, substream
+from .rng import check_seed, parallel_map, substream
 
 # Key paths so that the sign diagonal, the sparse projection and the dense
 # reference matrix drawn from one seed are independent streams.
@@ -441,19 +440,15 @@ class _PhdKernel:
             else:
                 self.Pt = P.T
 
-    def apply(self, X: np.ndarray, Y: np.ndarray, pool: Executor | None = None) -> None:
+    def apply(self, X: np.ndarray, Y: np.ndarray, workers: int = 1) -> None:
         """Write the embeddings of the rows of ``X[n, d_raw]``, ``d_raw <= d``, into ``Y[n, k]``.
 
-        Rows go in chunks of ``step`` from row 0, on ``pool``'s threads when
-        given; chunk boundaries depend on the shapes only, so ``Y`` is the same
-        at every worker count.
+        Rows go in chunks of ``step`` from row 0, on up to ``workers`` threads of
+        the process's one pool (:func:`.rng.parallel_map`); chunk boundaries
+        depend on the shapes only, so ``Y`` is the same at every worker count.
         """
-        bounds = range(0, len(X), self.step)
-        if pool is None or len(bounds) <= 1:
-            for lo in bounds:
-                self._chunk(X[lo : lo + self.step], Y[lo : lo + self.step])
-        else:
-            list(pool.map(lambda lo: self._chunk(X[lo : lo + self.step], Y[lo : lo + self.step]), bounds))
+        step = self.step
+        parallel_map(lambda lo: self._chunk(X[lo : lo + step], Y[lo : lo + step]), range(0, len(X), step), workers)
 
     def _chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
         d_raw = X.shape[1]
@@ -479,11 +474,7 @@ def _phd(X, signs, indptr, cols, weights, k: int, workers: int = 1) -> np.ndarra
     """
     kernel = _PhdKernel(signs, indptr, cols, weights, k, len(X), one_shot=True)
     Y = np.empty((len(X), k))
-    if workers <= 1 or len(X) <= kernel.step:
-        kernel.apply(X, Y)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            kernel.apply(X, Y, pool)
+    kernel.apply(X, Y, workers)
     return Y
 
 
@@ -497,7 +488,7 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     made on the total row count, so a caller streaming rows in batches through
     the same prepared kernel gets the bits of one call on all rows.  It then
     applies the rows in fixed chunks of about 2 MB, spread over ``workers``
-    threads; each thread keeps its chunk scratch from call to call (see
+    threads of the process's one pool, each keeping its chunk scratch (see
     :class:`_PhdKernel`).  The output is bit-identical at every worker count.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:

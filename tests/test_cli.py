@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from fastjl import (
 )
 from fastjl import cli
 from fastjl.cli import RunConfig, execute, main, parse_config
+from fastjl.rng import MAX_WORKERS
 from fastjl.sparsity import q_theorem1
 from fastjl.transform import _CHUNK_CELLS, _phd
 
@@ -129,6 +131,21 @@ class TestParseConfig:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("fastjl: error:") and "--workers" in err[0]
         assert not out.exists() and not (tmp_path / "r.jsonl").exists()
+
+    def test_workers_above_max_exit_2(self, tmp_path, capsys):
+        # rejected while parsing, so no thread is ever asked for
+        argv = ["verify-upper", "--d", "64", "--k", "8", "--eps", "0.5", "--q", "0.1", "--trials", "10",
+                "--report", str(tmp_path / "r.jsonl"), "--workers", "100000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"[1, {MAX_WORKERS}]" in err[0]
+        assert not (tmp_path / "r.jsonl").exists()
+        assert parse_config([*argv[:-1], str(MAX_WORKERS)]).workers == MAX_WORKERS
+
+    def test_default_workers_capped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+        cfg = parse_config(["verify-lemmas", "--report", str(tmp_path / "r.jsonl")])
+        assert cfg.workers == MAX_WORKERS
 
     def test_workers_below_one_in_config_file_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
@@ -487,6 +504,33 @@ def test_no_fastjl_module_loads_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_allocation_beyond_the_machine_exits_2(tmp_path):
+    # one 512 GiB draw under a 3 GB address-space cap: a clean error line, not a traceback
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["verify-upper", "--d", "68719476736", "--eps", "0.25", "--n", "64", "--scheduler", "theorem1",
+            "--trials", "1", "--report", str(tmp_path / "r.jsonl")]
+    done = subprocess.run([sys.executable, "-m", "fastjl.cli", *argv], capture_output=True, text=True,
+                          env=env, preexec_fn=cap, timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2, done.stderr
+    assert len(err) == 1 and err[0].startswith("fastjl: error: out of memory") and "Traceback" not in done.stderr
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def test_only_rng_imports_concurrent_futures():
+    # the process keeps one thread pool, made in rng.parallel_map; no other module builds one
+    importers = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py")
+                       if re.search(r"^\s*(from|import) concurrent\b", path.read_text(), re.MULTILINE))
+    assert importers == ["rng.py"]
 
 
 def test_every_exported_name_resolves():

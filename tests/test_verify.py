@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -677,6 +678,20 @@ class TestRunTrials:
         expected = [(count, int(substream(4, b).integers(2**62)))
                     for b, count in enumerate((TRIAL_BLOCK, TRIAL_BLOCK, 5))]
         assert run_trials(4, 2 * TRIAL_BLOCK + 5, draw, workers=3) == expected
+
+    def test_pool_outlives_a_call(self):
+        # the process keeps one pool, so a second run's blocks land on the first run's threads
+        # and find the scratch those threads made
+        threads = []
+
+        def draw(rng, count):
+            threads.append(threading.current_thread())
+            time.sleep(0.01)  # so that both threads of a call take a block
+            return count
+
+        for _ in range(2):
+            assert run_trials(5, 2 * TRIAL_BLOCK + 5, draw, workers=2) == [4096, 4096, 5]
+        assert len(threads) == 6 and len(set(threads)) <= 2
 
 
 PINNED_TRIALS = 2 * TRIAL_BLOCK + 5  # three blocks, the last one short

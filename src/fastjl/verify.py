@@ -22,7 +22,9 @@ labeled as assumptions in emitted records, never hard-coded as truths.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -146,23 +148,110 @@ class ZStatistics(NamedTuple):
     sum_zsq: np.ndarray
 
 
-# the z-statistics' quotient and square, one block per thread (see _ThreadScratch)
+# Largest n of Binomial(n, q) for the log-pmf, so for the sampler and the exact
+# tail; the lgamma terms' error grows with log n!.
+_BINOMIAL_MAX_N = 10_000
+
+# Buckets of the guide table: u in [b, b + 1) / 2^16 falls in bucket b.
+_GUIDE_BUCKETS = 1 << 16
+
+# Cells (trials x k) per sub-chunk of a z-statistics block; see simulate_z_statistics.
+_Z_CHUNK_CELLS = 1 << 15
+
+# the uniforms, the bucket indices (then the squares) and the counts of one sub-chunk, per thread
 _z_scratch = _ThreadScratch()
+
+
+def _binomial_log_pmf(n: int, q: float) -> np.ndarray:
+    """``log P[Binomial(n, q) = j]`` for j = 0..n, from ``math.lgamma`` log-factorials (0 < q < 1)."""
+    lf = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])  # lf[i] = log i!
+    j = np.arange(n + 1)
+    return lf[n] - lf[j] - lf[n - j] + j * math.log(q) + (n - j) * math.log1p(-q)
+
+
+@functools.lru_cache(maxsize=16)
+def _binomial_table(m: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CDF of Binomial(m, q) and its guide table, built on first use.
+
+    ``cdf[x]`` is ``P[X <= x]``: summed from the left below the mode and
+    ``1 - P[X > x]`` summed from the right from the mode on, so each tail keeps
+    the pmf's relative accuracy, the pmf's rounding error (its sum is 1 to
+    within 1.1e-11 at m = 10^4) lands on the mode, and ``cdf[m]`` is exactly 1.
+    Entry ``b`` of the int16 table is the x that every u in bucket b maps to,
+    or -1 where a CDF step falls inside the bucket; at most m buckets are
+    marked so.
+    """
+    if q < 1.0:
+        pmf = np.exp(_binomial_log_pmf(m, q))
+        mode = int(pmf.argmax())
+        cdf = np.concatenate([np.cumsum(pmf[:mode]), 1.0 - np.cumsum(pmf[:mode:-1])[::-1], [1.0]])
+    else:
+        cdf = np.zeros(m + 1)
+        cdf[m] = 1.0
+    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    first = np.searchsorted(cdf, edges[:-1], side="right")  # x at the bucket's least u
+    last = np.searchsorted(cdf, edges[1:], side="left")     # x at the greatest double below the next edge
+    table = np.where(first == last, first, -1).astype(np.int16)
+    cdf.flags.writeable = table.flags.writeable = False
+    return cdf, table
+
+
+def _binomial_invert(u: np.ndarray, cdf: np.ndarray, table: np.ndarray, out: np.ndarray,
+                     index: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for u in [0, 1), into ``out``, through the guide table.
+
+    ``index`` is int64 scratch of ``u``'s size.  Draws whose bucket is marked
+    are searched in ``cdf``; every other draw is its bucket's entry.
+    """
+    np.multiply(u, float(len(table)), out=index, casting="unsafe")  # exact scaling, truncated: the bucket
+    np.take(table, index, out=out, mode="clip")  # in range; "clip" skips the copy "raise" makes with out
+    steps = np.flatnonzero(out < 0)
+    out[steps] = np.searchsorted(cdf, u[steps], side="right")
+    return out
 
 
 def simulate_z_statistics(
     m: int, q: float, k: int, trials: int, seed: int, workers: int = 1
 ) -> ZStatistics:
-    """Draw (max, sum, sum of squares) of k independent Binomial(m, q)/m values per trial."""
-    if m < 1 or k < 1:
-        raise ParameterError(f"m and k must be >= 1, got m={m}, k={k}")
+    """Draw (max, sum, sum of squares) of k independent Binomial(m, q)/m values per trial.
+
+    Each count is drawn by inverting the exact Binomial(m, q) CDF (from
+    :func:`_binomial_log_pmf`) at a uniform ``rng.random`` draw u: a guide
+    table of 2^16 buckets of u gives the count directly, and the few buckets
+    that hold a CDF step are resolved by ``np.searchsorted``.  So every count
+    equals ``searchsorted(cdf, u, side="right")`` bit for bit, at any (m, q).
+    The table is built once per (m, q) and cached (16 entries).  A block draws
+    its trials in sub-chunks of about 2^15 cells into per-thread scratch, the
+    k counts of trial i of a sub-chunk at ``[:, i]`` of a (k, rows) array; the
+    statistics are reduced exactly on the integer counts and divided by m (or
+    m^2) once.  Memory is O(m) for the table plus O(2^15 + trials) cells.
+    ``m`` is at most 10^4, the range of :func:`binomial_tail_exact`.
+    """
+    if not (isinstance(m, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise ParameterError(f"m and k must be integers, got m={m!r}, k={k!r}")
+    if not 1 <= m <= _BINOMIAL_MAX_N or k < 1:
+        raise ParameterError(f"need 1 <= m <= {_BINOMIAL_MAX_N} and k >= 1, got m={m}, k={k}")
     if not 0.0 < q <= 1.0:
         raise ParameterError(f"q must be in (0, 1], got {q}")
+    m, k, q = int(m), int(k), float(q)
+    cdf, table = _binomial_table(m, q)
 
     def draw(rng: np.random.Generator, count: int):
-        z = np.divide(rng.binomial(m, q, size=(count, k)), m, out=_z_scratch.take(0, count * k).reshape(count, k))
-        max_z, sum_z = z.max(axis=1), z.sum(axis=1)
-        return max_z, sum_z, np.square(z, out=z).sum(axis=1)  # the square takes the quotient's cells
+        rows = min(count, max(1, _Z_CHUNK_CELLS // k))
+        stats = np.empty((3, count), dtype=np.int64)  # per trial: max, sum and sum of squares of the counts
+        for lo in range(0, count, rows):
+            hi = min(count, lo + rows)
+            cells = (hi - lo) * k
+            u = rng.random(out=_z_scratch.take(0, cells))
+            index = _z_scratch.take(1, cells).view(np.int64)
+            counts = _z_scratch.take(2, -(-cells // 4)).view(np.int16)[:cells]  # 4 int16 per float64 cell
+            x = _binomial_invert(u, cdf, table, counts, index).reshape(k, hi - lo)  # column i: trial lo + i
+            x.max(axis=0, out=stats[0, lo:hi])
+            x.sum(axis=0, out=stats[1, lo:hi])
+            # m^2 <= 10^8 fits int32; the squares take the bucket indices' cells
+            np.multiply(x, x, out=index.view(np.int32)[:cells].reshape(k, hi - lo), dtype=np.int32).sum(
+                axis=0, out=stats[2, lo:hi])
+        return stats[0] / m, stats[1] / m, stats[2] / (m * m)
 
     return ZStatistics(*map(np.concatenate, zip(*run_trials(seed, trials, draw, workers))))
 
@@ -212,6 +301,10 @@ class BoundSpec:
         m, q = float(p["m"]), float(p["q"])
         if m < 1:
             bad.append(f"m >= 1 violated (m={m})")
+        # run_bound_check draws with int(m) and int(k), the bound uses them as given
+        for name in ("m", "k"):
+            if name in _REQUIRED_PARAMS[self.lemma] and not float(p[name]).is_integer():
+                bad.append(f"{name} integer violated ({name}={float(p[name])})")
         if not 0.0 < q <= 1.0:
             bad.append(f"q in (0, 1] violated (q={q})")
         if self.lemma is Lemma.MAX_Z:
@@ -624,15 +717,16 @@ def coord_exceedance_rate(
 def binomial_tail_exact(r: int, q: float, s: int) -> float:
     """Exact P[Binomial(r, q) >= s] by stable summation of log-binomial terms.
 
-    The log-factorials ``log i!`` come from ``math.lgamma``.  Measured relative
+    The terms come from :func:`_binomial_log_pmf`, which the z-statistics
+    sampler shares, with ``log i!`` from ``math.lgamma``.  Measured relative
     error: at most 6.3e-14 against ``scipy.stats.binom.sf`` over
     :func:`reverse_chernoff_grid`; against a 50-digit sum, at most 6.9e-13 at
     r <= 600 and 1.3e-11 at r = 10^4 (the error grows with ``log r!``).
     """
     if not 0 <= s <= r:
         raise ParameterError(f"need 0 <= s <= r, got s={s}, r={r}")
-    if r > 10_000:
-        raise ParameterError(f"r must be <= 10^4, got {r}")
+    if r > _BINOMIAL_MAX_N:
+        raise ParameterError(f"r must be <= {_BINOMIAL_MAX_N}, got {r}")
     if not 0.0 <= q <= 1.0:
         raise ParameterError(f"q must be in [0, 1], got {q}")
     if s == 0:
@@ -641,15 +735,7 @@ def binomial_tail_exact(r: int, q: float, s: int) -> float:
         return 0.0
     if q == 1.0:
         return 1.0
-    lf = np.array([math.lgamma(i + 1.0) for i in range(r + 1)])  # lf[i] = log i!
-    j = np.arange(s, r + 1)
-    log_terms = (
-        lf[r]
-        - lf[j]
-        - lf[r - j]
-        + j * math.log(q)
-        + (r - j) * math.log1p(-q)
-    )
+    log_terms = _binomial_log_pmf(r, q)[s:]
     peak = float(log_terms.max())
     return float(min(1.0, math.exp(peak) * float(np.exp(log_terms - peak).sum())))
 

@@ -2,14 +2,19 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fastjl import DimensionError, DomainError, JlParams, NormCriterion, ParameterError, embed
+from fastjl import rng as fastjl_rng
 from fastjl import verify
 from fastjl.verify import (
     BoundSpec,
@@ -325,8 +330,143 @@ class TestZStatistics:
 
     def test_parallel_matches_sequential(self):
         a = simulate_z_statistics(8, 0.2, 4, 20_000, seed=5, workers=1)
-        b = simulate_z_statistics(8, 0.2, 4, 20_000, seed=5, workers=3)
-        assert np.array_equal(a.sum_zsq, b.sum_zsq)
+        for workers in (2, 3):
+            b = simulate_z_statistics(8, 0.2, 4, 20_000, seed=5, workers=workers)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_statistics_are_exact_quotients_of_the_counts(self):
+        m = 2955
+        batch = simulate_z_statistics(m, 0.08, 108, 300, seed=6)
+        for values, scale in ((batch.max_z, m), (batch.sum_z, m), (batch.sum_zsq, m * m)):
+            counts = np.rint(values * scale)
+            assert np.array_equal(counts / scale, values)
+
+    def test_non_integer_m_or_k_is_rejected(self):
+        with pytest.raises(ParameterError, match="integers"):
+            simulate_z_statistics(2.5, 0.5, 1, 10, seed=0)
+        with pytest.raises(ParameterError, match="integers"):
+            simulate_z_statistics(4, 0.5, 2.0, 10, seed=0)
+        batch = simulate_z_statistics(np.int64(4), 0.5, np.int32(2), 10, seed=0)
+        assert np.all(batch.max_z <= 1.0)
+
+    def test_m_beyond_the_log_pmf_range_is_rejected(self):
+        with pytest.raises(ParameterError, match="m <= 10000"):
+            simulate_z_statistics(10_001, 0.5, 1, 10, seed=0)
+        with pytest.raises(ParameterError):
+            simulate_z_statistics(0, 0.5, 1, 10, seed=0)
+
+    def test_memory_is_one_sub_chunk_not_one_block(self):
+        args = (2955, 0.08, 108, TRIAL_BLOCK)
+        simulate_z_statistics(*args, seed=7)  # builds the cached table
+        peak = {}
+
+        def call():  # a new thread starts with empty scratch, so its scratch counts
+            tracemalloc.start()
+            try:
+                simulate_z_statistics(*args, seed=8)
+                peak["bytes"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        outputs = 3 * TRIAL_BLOCK * 8  # max_z, sum_z and sum_zsq
+        # a whole 4,096 x 108 block of uniforms alone is 3.5 MB
+        assert peak["bytes"] <= outputs + 2 * 2**20
+
+
+class TestBinomialSampler:
+    """The guide-table inversion behind simulate_z_statistics."""
+
+    LAWS = [(16, 0.05), (64, 0.25), (256, 0.5), (2955, 0.08)]
+
+    @staticmethod
+    def _invert(m, q, u):
+        cdf, table = verify._binomial_table(m, q)
+        return verify._binomial_invert(u, cdf, table, np.empty(len(u), np.int16), np.empty(len(u), np.int64))
+
+    @pytest.mark.parametrize("m, q", LAWS + [(1, 0.3), (5, 1.0), (10_000, 0.5)])
+    def test_equals_a_search_of_the_whole_cdf(self, m, q):
+        cdf, table = verify._binomial_table(m, q)
+        edges = np.arange(len(table)) / len(table)
+        steps = cdf[(cdf > 0.0) & (cdf < 1.0)]
+        u = np.concatenate([
+            np.random.default_rng(m).random(10**6),
+            edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)],
+            steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+        ])
+        u = u[u < 1.0]
+        assert np.array_equal(self._invert(m, q, u), np.searchsorted(cdf, u, side="right"))
+        assert (table < 0).any() == (q < 1.0)  # the search path is taken
+
+    @pytest.mark.parametrize("m, q", LAWS)
+    def test_chi_square_fit(self, m, q):
+        n = 200_000
+        counts = np.rint(simulate_z_statistics(m, q, 1, n, seed=m).sum_z * m).astype(np.int64)
+        observed = np.bincount(counts, minlength=m + 1)
+        expected = n * stats.binom.pmf(np.arange(m + 1), m, q)
+        # pool each tail into one bin so that every bin expects at least 5 draws
+        lo, hi = np.flatnonzero(expected >= 5.0)[[0, -1]]
+        pool = lambda a: np.concatenate([[a[: lo + 1].sum()], a[lo + 1 : hi], [a[hi:].sum()]])
+        observed, expected = pool(observed), pool(expected)
+        assert stats.chisquare(observed, expected * n / expected.sum()).pvalue > 1e-4
+
+    @pytest.mark.parametrize("m, q", LAWS)
+    def test_upper_tails_match_the_exact_tail(self, m, q):
+        cdf, _ = verify._binomial_table(m, q)
+        # below the mode the tails differ by the pmf's summed rounding (8.4e-13 relative at m = 2955);
+        # above it by the rounding of 1 - cdf, under one unit in the last place of 1
+        for s in np.unique(np.linspace(1, m, 60).astype(int)):
+            assert 1.0 - cdf[s - 1] == pytest.approx(binomial_tail_exact(m, q, int(s)), rel=2e-12, abs=2.3e-16)
+
+    def test_certain_success_and_one_trial(self):
+        cdf, table = verify._binomial_table(5, 1.0)
+        assert cdf.tolist() == [0.0] * 5 + [1.0] and np.all(table == 5)
+        cdf, table = verify._binomial_table(1, 0.25)
+        assert cdf[0] == pytest.approx(0.75, rel=1e-15) and cdf[1] == 1.0
+        u = np.array([0.0, np.nextafter(cdf[0], 0.0), cdf[0], np.nextafter(1.0, 0.0)])
+        assert self._invert(1, 0.25, u).tolist() == [0, 0, 1, 1]
+        batch = simulate_z_statistics(1, 0.25, 1, 40_000, seed=9)
+        assert set(np.unique(batch.max_z)) == {0.0, 1.0}
+        assert abs(batch.sum_z.mean() - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 40_000)
+
+    def test_no_table_is_built_at_import(self):
+        code = "import fastjl.cli\nfrom fastjl import verify\nprint(verify._binomial_table.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "0"
+
+    def test_tables_are_read_only(self):
+        cdf, table = verify._binomial_table(64, 0.25)
+        with pytest.raises(ValueError):
+            cdf[0] = 0.5
+        with pytest.raises(ValueError):
+            table[0] = 3
+
+    def test_no_binomial_call(self, monkeypatch):
+        class NoBinomial:
+            def __init__(self, generator):
+                self._generator = generator
+
+            def __getattr__(self, name):
+                return getattr(self._generator, name)
+
+            def binomial(self, *args, **kwargs):
+                raise AssertionError("Generator.binomial was called")
+
+        real, made = fastjl_rng.substream, []
+
+        def substream(*key):
+            made.append(key)
+            return NoBinomial(real(*key))
+
+        monkeypatch.setattr(fastjl_rng, "substream", substream)
+        batch = simulate_z_statistics(64, 0.25, 8, 2 * TRIAL_BLOCK + 3, seed=10, workers=2)
+        assert len(made) == 3 and len(batch.sum_z) == 2 * TRIAL_BLOCK + 3
 
 
 class TestLemmaBounds:
@@ -368,6 +508,15 @@ class TestLemmaBounds:
         spec = BoundSpec(Lemma.SUM_ZSQ, {"m": 100, "q": 0.25, "k": 8, "t": 1.0})
         violations = spec.domain_violations()
         assert any("64*24*e^3" in v for v in violations)
+
+    def test_non_integer_m_or_k_violates_the_domain(self):
+        m_spec = BoundSpec(Lemma.SINGLE_Z, {"m": 2.5, "q": 0.1, "t": 0.5})
+        k_spec = BoundSpec(Lemma.MAX_Z, {"m": 16, "q": 0.5, "k": 2.5, "alpha": 0.25})
+        assert any("m integer" in v for v in m_spec.domain_violations())
+        assert any("k integer" in v for v in k_spec.domain_violations())
+        with pytest.raises(DomainError, match="k integer"):
+            run_bound_check(k_spec, trials=10, seed=0)
+        assert BoundSpec(Lemma.MAX_Z, {"m": 16.0, "q": 0.5, "k": 8.0, "alpha": 0.25}).domain_satisfied
 
     def test_vacuous_bound_can_exceed_one(self):
         spec = BoundSpec(Lemma.MAX_Z, {"m": 16, "q": 0.05, "k": 8, "alpha": 0.25})
@@ -434,6 +583,14 @@ class TestBinomialTail:
     def test_edge_probabilities(self):
         assert binomial_tail_exact(5, 0.0, 1) == 0.0
         assert binomial_tail_exact(5, 1.0, 5) == 1.0
+
+    def test_values_are_pinned(self):
+        # sha256 prefix of the tails over the reverse-Chernoff grid and a few more (r, q, s)
+        points = [(r, q, math.ceil((1.0 + alpha) * q * r)) for r, q, alpha in reverse_chernoff_grid()]
+        points += [(10, 0.5, 3), (64, 0.25, 40), (600, 0.01, 20), (2955, 0.08, 300), (10_000, 0.3, 3_100),
+                   (10_000, 0.999, 9_990), (7, 0.2, 0), (5, 1.0, 5), (5, 0.0, 1)]
+        tails = np.array([binomial_tail_exact(r, q, s) for r, q, s in points])
+        assert hashlib.sha256(tails.tobytes()).hexdigest()[:16] == "4486faac63bfc7d4"
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -724,7 +881,7 @@ T = PINNED_TRIALS
 # prefix of the arrays.  A change of any random stream shows here.
 STREAM_PINS = {
     "simulate_z_statistics": (
-        lambda w: _sha(*simulate_z_statistics(8, 0.2, 4, T, seed=31, workers=w)), "7211e8cc00f96922"),
+        lambda w: _sha(*simulate_z_statistics(8, 0.2, 4, T, seed=31, workers=w)), "cffbe4bdcebea42e"),
     "estimate_failure_rate": (
         lambda w: estimate_failure_rate(JlParams(d=64, k=16, q=0.2, eps=0.2, seed=32),
                                         np.random.default_rng(7).standard_normal(64), T,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -262,6 +263,9 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ParameterError(f"{command}: unknown scheduler {resolved['scheduler']!r}")
     if resolved.get("criterion") not in (None, *_CRITERIA):
         raise ParameterError(f"{command}: unknown criterion {resolved['criterion']!r}")
+    for dest, flag in (("c3", "--c3"), ("big_c3", "--C3")):
+        if dest in resolved and not (math.isfinite(resolved[dest]) and resolved[dest] > 0.0):
+            raise ParameterError(f"{command}: {flag} must be finite and > 0, got {resolved[dest]}")
 
     config = RunConfig(**resolved)
     _validate_paths(config)

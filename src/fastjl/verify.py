@@ -210,6 +210,43 @@ def _binomial_invert(u: np.ndarray, cdf: np.ndarray, table: np.ndarray, out: np.
     return out
 
 
+def _z_table(m, q, k):
+    """Checked ``(m, q, k)`` as int, float, int, and the CDF and guide table of Binomial(m, q)."""
+    if not (isinstance(m, numbers.Integral) and isinstance(k, numbers.Integral)):
+        raise ParameterError(f"m and k must be integers, got m={m!r}, k={k!r}")
+    if not 1 <= m <= _BINOMIAL_MAX_N or k < 1:
+        raise ParameterError(f"need 1 <= m <= {_BINOMIAL_MAX_N} and k >= 1, got m={m}, k={k}")
+    if not 0.0 < q <= 1.0:
+        raise ParameterError(f"q must be in (0, 1], got {q}")
+    m, k, q = int(m), int(k), float(q)
+    return (m, q, k, *_binomial_table(m, q))
+
+
+def _z_trials(k, trials, seed, workers, reduce) -> list:
+    """``reduce(u)`` for each sub-chunk of each block, in trial order, through :func:`run_trials`.
+
+    A sub-chunk holds about 2^15 cells.  ``u`` is a (k, rows) view of
+    per-thread scratch, which the next sub-chunk overwrites: column i holds
+    the k uniforms of the sub-chunk's trial i.
+    """
+    def draw(rng, count):
+        rows = min(count, max(1, _Z_CHUNK_CELLS // k))
+        return [reduce(rng.random(out=_z_scratch.take(0, min(rows, count - lo) * k)).reshape(k, -1))
+                for lo in range(0, count, rows)]
+
+    return [part for block in run_trials(seed, trials, draw, workers) for part in block]
+
+
+def _z_counts(u, cdf, table):
+    """The int16 counts at the uniforms ``u`` and their int32 squares, both in scratch of u's shape."""
+    cells = u.size
+    index = _z_scratch.take(1, cells).view(np.int64)
+    counts = _z_scratch.take(2, -(-cells // 4)).view(np.int16)[:cells]  # 4 int16 per float64 cell
+    x = _binomial_invert(u.ravel(), cdf, table, counts, index).reshape(u.shape)
+    # m^2 <= 10^8 fits int32; the squares take the bucket indices' cells
+    return x, np.multiply(x, x, out=index.view(np.int32)[:cells].reshape(u.shape), dtype=np.int32)
+
+
 def simulate_z_statistics(
     m: int, q: float, k: int, trials: int, seed: int, workers: int = 1
 ) -> ZStatistics:
@@ -226,34 +263,15 @@ def simulate_z_statistics(
     statistics are reduced exactly on the integer counts and divided by m (or
     m^2) once.  Memory is O(m) for the table plus O(2^15 + trials) cells.
     ``m`` is at most 10^4, the range of :func:`binomial_tail_exact`.
+    :func:`run_bound_check` draws the same uniforms and counts its event on them.
     """
-    if not (isinstance(m, numbers.Integral) and isinstance(k, numbers.Integral)):
-        raise ParameterError(f"m and k must be integers, got m={m!r}, k={k!r}")
-    if not 1 <= m <= _BINOMIAL_MAX_N or k < 1:
-        raise ParameterError(f"need 1 <= m <= {_BINOMIAL_MAX_N} and k >= 1, got m={m}, k={k}")
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
-    m, k, q = int(m), int(k), float(q)
-    cdf, table = _binomial_table(m, q)
+    m, q, k, cdf, table = _z_table(m, q, k)
 
-    def draw(rng: np.random.Generator, count: int):
-        rows = min(count, max(1, _Z_CHUNK_CELLS // k))
-        stats = np.empty((3, count), dtype=np.int64)  # per trial: max, sum and sum of squares of the counts
-        for lo in range(0, count, rows):
-            hi = min(count, lo + rows)
-            cells = (hi - lo) * k
-            u = rng.random(out=_z_scratch.take(0, cells))
-            index = _z_scratch.take(1, cells).view(np.int64)
-            counts = _z_scratch.take(2, -(-cells // 4)).view(np.int16)[:cells]  # 4 int16 per float64 cell
-            x = _binomial_invert(u, cdf, table, counts, index).reshape(k, hi - lo)  # column i: trial lo + i
-            x.max(axis=0, out=stats[0, lo:hi])
-            x.sum(axis=0, out=stats[1, lo:hi])
-            # m^2 <= 10^8 fits int32; the squares take the bucket indices' cells
-            np.multiply(x, x, out=index.view(np.int32)[:cells].reshape(k, hi - lo), dtype=np.int32).sum(
-                axis=0, out=stats[2, lo:hi])
-        return stats[0] / m, stats[1] / m, stats[2] / (m * m)
+    def statistics(u):
+        x, squares = _z_counts(u, cdf, table)
+        return x.max(axis=0) / m, x.sum(axis=0) / m, squares.sum(axis=0) / (m * m)
 
-    return ZStatistics(*map(np.concatenate, zip(*run_trials(seed, trials, draw, workers))))
+    return ZStatistics(*map(np.concatenate, zip(*_z_trials(k, trials, seed, workers, statistics))))
 
 
 # --------------------------------------------------------------------------
@@ -409,8 +427,36 @@ class BoundCheck:
     verdict: Verdict
 
 
+def _z_event_successes(m, q, k, stat, threshold, trials, seed, workers) -> int:
+    """``np.count_nonzero(stat > threshold)`` over :func:`simulate_z_statistics` at the same arguments.
+
+    ``stat`` is ``"max_z"`` or ``"sum_zsq"``; each sub-chunk of uniforms is
+    counted in one pass.  For ``max_z`` no count is drawn: with ``c0`` the
+    least count whose quotient ``c0 / m`` (the same float division) exceeds
+    the threshold, a count reaches ``c0`` exactly when its uniform reaches
+    ``cdf[c0 - 1]``, so a trial succeeds when its largest uniform does, at one
+    compare per cell.  For ``sum_zsq`` only the sum of squares is reduced.
+    """
+    m, q, k, cdf, table = _z_table(m, q, k)
+    if stat == "max_z":
+        c0 = np.count_nonzero(~(np.arange(m + 1) / m > threshold))  # m + 1 when no count exceeds it
+        level = cdf[c0 - 1] if c0 else 0.0  # cdf[m] is 1, which no uniform reaches
+
+        def event(u):
+            return np.count_nonzero(u.max(axis=0) >= level)
+    else:
+        def event(u):
+            return np.count_nonzero(_z_counts(u, cdf, table)[1].sum(axis=0) / (m * m) > threshold)
+    return int(sum(_z_trials(k, trials, seed, workers, event)))
+
+
 def run_bound_check(spec: BoundSpec, trials: int, seed: int, workers: int = 1) -> BoundCheck:
-    """Simulate the event a bound controls and compare frequencies."""
+    """Simulate the event a bound controls and compare frequencies.
+
+    The successes are those of :func:`simulate_z_statistics` at the same seed,
+    counted on its uniforms by :func:`_z_event_successes` without building the
+    statistics: a max-type cell costs one uniform and one compare.
+    """
     bound = lemma_bound(spec)  # raises on domain violations before any work
     m, q = int(spec["m"]), spec["q"]
     if spec.lemma is Lemma.SINGLE_Z:
@@ -419,9 +465,7 @@ def run_bound_check(spec: BoundSpec, trials: int, seed: int, workers: int = 1) -
         k, threshold, stat = int(spec["k"]), spec["q"] / (2.0 * spec["alpha"]), "max_z"
     else:
         k, threshold, stat = int(spec["k"]), spec["t"], "sum_zsq"
-    samples = simulate_z_statistics(m, q, k, trials, seed, workers=workers)
-    values = samples.max_z if stat == "max_z" else samples.sum_zsq
-    successes = int(np.count_nonzero(values > threshold))
+    successes = _z_event_successes(m, q, k, stat, threshold, trials, seed, workers)
     estimate = TailEstimate.from_counts(successes, trials)
     return BoundCheck(spec=spec, estimate=estimate, bound=bound, verdict=check_bound(spec, estimate))
 
@@ -831,8 +875,8 @@ def chisq_lower_tail_check(
         raise ParameterError("weights must not all be zero")
     if x < 0.0:
         raise ParameterError(f"x must be >= 0, got {x}")
-    if c3 <= 0.0 or C3 <= 0.0:
-        raise ParameterError("c3 and C3 must be > 0")
+    if not (math.isfinite(c3) and c3 > 0.0 and math.isfinite(C3) and C3 > 0.0):
+        raise ParameterError(f"c3 and C3 must be finite and > 0, got c3={c3}, C3={C3}")
     exponent = -C3 * x * x / norm_sq
     bound = c3 * (0.0 if exponent < -745.0 else math.exp(exponent))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -365,6 +366,31 @@ class TestVerifyLemmasCommand:
         assert lemma_records and all(r["verdict"] in ("PASS", "VACUOUS") for r in lemma_records)
         mgf = [r for r in records if r["experiment"] == "subexponential_mgf_premise"]
         assert len(mgf) == 1 and mgf[0]["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_successes_are_pinned(self, tmp_path, workers):
+        # sha256 of [(experiment, successes)] over the whole report: every Monte Carlo count
+        # at this seed, which must not depend on --workers
+        report = tmp_path / "lemmas.jsonl"
+        assert main(["verify-lemmas", "--trials", "5000", "--seed", "11", "--workers", workers,
+                     "--report", str(report)]) == 1
+        pairs = [(r["experiment"], r.get("successes")) for r in map(json.loads, report.read_text().splitlines())]
+        digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+        assert digest == "709c68b4a330bb601fd437eb9bdfb98fb7ebc0e9c386e7ace1ad0b81a634063d"
+
+    @pytest.mark.parametrize("flag", ["--c3", "--C3"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_chi_square_constant_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli.verify, "run_bound_check", no_work)
+        report = tmp_path / "lemmas.jsonl"
+        code = main(["verify-lemmas", flag, value, "--report", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and flag in err[0]
+        assert not report.exists()
 
 
 class TestVerifyLowerCommand:

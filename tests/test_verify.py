@@ -560,6 +560,88 @@ class TestCheckBound:
         assert {spec.lemma for spec in grid} == set(Lemma)
 
 
+def _bound_event(spec):
+    """(m, q, k, statistic, threshold) of the event a grid bound controls."""
+    m, q = int(spec["m"]), spec["q"]
+    if spec.lemma is Lemma.SINGLE_Z:
+        return m, q, 1, "max_z", spec["t"]
+    if spec.lemma is Lemma.MAX_Z:
+        return m, q, int(spec["k"]), "max_z", q / (2.0 * spec["alpha"])
+    return m, q, int(spec["k"]), "sum_zsq", spec["t"]
+
+
+class TestBoundEventCounts:
+    """run_bound_check counts its events on the uniforms that simulate_z_statistics draws."""
+
+    T = 2 * TRIAL_BLOCK + 5
+
+    @staticmethod
+    def _reference(m, q, k, stat, threshold, trials, seed):
+        return int(np.count_nonzero(getattr(simulate_z_statistics(m, q, k, trials, seed=seed), stat) > threshold))
+
+    def test_grid_counts_equal_those_of_the_statistics(self):
+        for index, spec in enumerate(default_bound_grid()):
+            expected = self._reference(*_bound_event(spec), self.T, 40 + index)
+            for workers in (1, 3):
+                check = run_bound_check(spec, self.T, seed=40 + index, workers=workers)
+                assert check.estimate.successes == expected, (spec, workers)
+
+    @pytest.mark.parametrize("m, q, k, stat, threshold, expected", [
+        (16, 0.3, 4, "max_z", -0.5, T),     # every trial
+        (16, 0.3, 4, "sum_zsq", -0.5, T),
+        (16, 0.3, 4, "max_z", 1.0, 0),      # no count exceeds it
+        (16, 0.3, 4, "max_z", 1.5, 0),
+        (16, 0.3, 4, "sum_zsq", 4.0, 0),
+        (16, 0.3, 4, "max_z", 5 / 16, None),  # a count's quotient exactly: the event is strict
+        (4, 0.5, 3, "sum_zsq", 6 / 16, None),
+        (5, 1.0, 3, "max_z", 0.5, T),       # q = 1: every count is m
+        (5, 1.0, 3, "max_z", 1.0, 0),
+        (5, 1.0, 3, "sum_zsq", 2.5, T),
+        (1, 0.25, 2, "max_z", 0.0, None),   # m = 1
+        (1, 0.25, 2, "sum_zsq", 1.0, None),
+        (16, 0.3, 1, "max_z", 0.25, None),  # k = 1
+        (16, 0.3, 1, "sum_zsq", 0.1, None),
+    ])
+    def test_edges(self, m, q, k, stat, threshold, expected):
+        reference = self._reference(m, q, k, stat, threshold, self.T, 12)
+        if expected is not None:
+            assert reference == expected
+        for workers in (1, 3):
+            assert verify._z_event_successes(m, q, k, stat, threshold, self.T, 12, workers) == reference
+
+    def test_a_count_equal_to_the_threshold_is_no_success(self):
+        strict = self._reference(16, 0.3, 4, "max_z", 5 / 16, self.T, 12)
+        reached = int(np.count_nonzero(simulate_z_statistics(16, 0.3, 4, self.T, seed=12).max_z >= 5 / 16))
+        assert 0 < strict < reached  # so the edge case above tells > from >=
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_uniforms_on_and_beside_each_cdf_step(self, monkeypatch, k):
+        # a uniform equal to cdf[c - 1] draws the count c: the max-type compare must take it
+        cdf, _ = verify._binomial_table(16, 0.3)
+        u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+
+        class Fixed:
+            def random(self, out):
+                out[:] = np.resize(u, len(out))
+                return out
+
+        monkeypatch.setattr(fastjl_rng, "substream", lambda *key: Fixed())
+        for j in range(17):
+            expected = self._reference(16, 0.3, k, "max_z", j / 16, len(u), 0)
+            assert verify._z_event_successes(16, 0.3, k, "max_z", j / 16, len(u), 0, 1) == expected
+
+    def test_max_type_events_draw_no_counts(self, monkeypatch):
+        def invert(*args):
+            raise AssertionError("a max-type event inverted its uniforms")
+
+        monkeypatch.setattr(verify, "_binomial_invert", invert)
+        run_bound_check(BoundSpec(Lemma.MAX_Z, {"m": 64, "q": 0.25, "k": 8, "alpha": 0.1}), 100, seed=0)
+        run_bound_check(BoundSpec(Lemma.SINGLE_Z, {"m": 64, "q": 0.25, "t": 0.5}), 100, seed=0)
+        with pytest.raises(AssertionError):
+            run_bound_check(next(s for s in default_bound_grid() if s.lemma is Lemma.SUM_ZSQ), 100, seed=0)
+
+
 class TestBinomialTail:
     def test_enumeration_value(self):
         assert binomial_tail_exact(4, 0.5, 2) == pytest.approx(11 / 16, abs=1e-14)
@@ -660,6 +742,13 @@ class TestChiSquareLowerTail:
     def test_negative_weight_rejected(self):
         with pytest.raises(ParameterError):
             chisq_lower_tail_check((1.0, -1.0), 0.0, 10, c3=0.1, C3=2.0, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_constants_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            chisq_lower_tail_check((1.0,), 0.0, 10, c3=bad, C3=2.0, seed=0)
+        with pytest.raises(ParameterError, match="finite"):
+            chisq_lower_tail_check((1.0,), 0.0, 10, c3=0.1, C3=bad, seed=0)
 
 
 class TestGaussianSquareTail:

@@ -19,9 +19,7 @@ from .errors import (
 )
 from .instances import (
     HardInstance,
-    VectorDataset,
     hard_vector,
-    pad_to_power_of_two,
     random_unit_vector,
     read_vectors,
     write_vectors,
@@ -74,11 +72,9 @@ __all__ = [
     "q_lower_threshold",
     "choose_k",
     "HardInstance",
-    "VectorDataset",
     "hard_vector",
     "random_unit_vector",
     "read_vectors",
     "write_vectors",
-    "pad_to_power_of_two",
     "__version__",
 ]

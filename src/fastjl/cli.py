@@ -34,7 +34,6 @@ from .errors import FastJlError, ParameterError
 from .instances import (
     _atomic_write_bytes,
     VectorReader,
-    pad_to_power_of_two,
     random_unit_vector,
     read_vectors,
     vector_writer,
@@ -350,9 +349,10 @@ def _run_verify_upper(config: RunConfig) -> int:
     if config.pairwise:
         if config.in_path is None:
             raise ParameterError("verify-upper: --pairwise needs --in")
-        points = pad_to_power_of_two(read_vectors(config.in_path))
-        if points.d != d:
-            raise ParameterError(f"--d {d} disagrees with padded input dimension {points.d}")
+        points = read_vectors(config.in_path)
+        padded = 1 << (points.shape[1] - 1).bit_length()  # zero-padded inside the kernel, as in embed
+        if padded != d:
+            raise ParameterError(f"--d {d} disagrees with padded input dimension {padded}")
         estimate = verify.estimate_failure_rate(params, points, config.trials,
                                                 pairwise=True, workers=config.workers)
         experiment = "pairwise_failure_rate"

@@ -16,7 +16,10 @@ Two file formats are supported, dispatched on the file suffix:
   for exact float64 round-trips).
 
 Readers reject NaN and infinity, naming the first bad row (1-based).
-:func:`read_vectors` and :func:`write_vectors` move a whole dataset;
+Vectors travel as plain ``(n, d)`` float64 arrays, at any width d; the PHD
+kernel zero-pads rows to a power of two in its own scratch, so nothing here
+pads.  :func:`read_vectors` and :func:`write_vectors` move a whole array
+(a ``.fjlv`` read is a read-only view of the file's bytes);
 :class:`VectorReader` and :func:`vector_writer` move it a block of rows at
 a time, which CLI ``embed`` uses.  A ``.fjlv`` input then streams in
 O(block) memory, a ``.csv`` input is still read whole, and output of
@@ -56,7 +59,6 @@ _DIRECT_CHECK_MAX_D = 4096
 
 __all__ = [
     "HardInstance",
-    "VectorDataset",
     "hard_vector",
     "hard_level",
     "random_unit_vector",
@@ -64,7 +66,6 @@ __all__ = [
     "write_vectors",
     "VectorReader",
     "vector_writer",
-    "pad_to_power_of_two",
 ]
 
 
@@ -135,24 +136,6 @@ def random_unit_vector(d: int, seed: int) -> np.ndarray:
             return v / norm
 
 
-@dataclass(frozen=True)
-class VectorDataset:
-    """A stack of n vectors of common dimension d."""
-
-    d: int
-    vectors: np.ndarray
-    source: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.d:
-            raise DimensionError(
-                f"vectors must have shape (n, {self.d}), got {self.vectors.shape}"
-            )
-
-    def __len__(self) -> int:
-        return int(self.vectors.shape[0])
-
-
 @contextlib.contextmanager
 def _atomic_file(path: Path) -> Iterator[BinaryIO]:
     """A binary file that replaces ``path`` only when the ``with`` body ends without an error.
@@ -215,10 +198,13 @@ def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[np
             raise DimensionMismatchError(f"{path}: {written} rows written, {count} declared")
 
 
-def write_vectors(path: str | Path, dataset: VectorDataset) -> None:
-    """Write a dataset; the suffix selects the format (.fjlv binary, .csv text)."""
-    with vector_writer(path, dataset.d, len(dataset)) as write:
-        write(dataset.vectors)
+def write_vectors(path: str | Path, X: np.ndarray) -> None:
+    """Write the rows of ``X[n, d]``; the suffix selects the format (.fjlv binary, .csv text)."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise DimensionError(f"vectors must have shape (n, d), got {X.shape}")
+    with vector_writer(path, X.shape[1], len(X)) as write:
+        write(X)
 
 
 def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
@@ -255,7 +241,7 @@ def _check_finite(path: Path, rows: np.ndarray, first: int) -> None:
         raise DatasetFormatError(f"{path}: row {first + int(np.argmin(finite)) + 1} has a non-finite value")
 
 
-def _read_binary(path: Path, raw: bytes) -> VectorDataset:
+def _read_binary(path: Path, raw: bytes) -> np.ndarray:
     d, count = _parse_header(path, raw, len(raw))
     # a read-only view of ``raw``, not a copy; callers that write make their own
     vectors = np.frombuffer(raw, dtype="<f8", count=count * d, offset=_HEADER.size)
@@ -263,10 +249,10 @@ def _read_binary(path: Path, raw: bytes) -> VectorDataset:
     step = max(1, _CHUNK_CELLS // d)  # checked a chunk at a time: no file-sized mask
     for lo in range(0, count, step):
         _check_finite(path, vectors[lo : lo + step], lo)
-    return VectorDataset(d=d, vectors=vectors, source=str(path))
+    return vectors
 
 
-def _read_csv(path: Path, raw: bytes) -> VectorDataset:
+def _read_csv(path: Path, raw: bytes) -> np.ndarray:
     text = raw.decode("utf-8")
     rows: list[np.ndarray] = []
     d: int | None = None
@@ -291,11 +277,11 @@ def _read_csv(path: Path, raw: bytes) -> VectorDataset:
         rows.append(row)
     if d is None:
         raise DatasetFormatError(f"{path}: empty file")
-    return VectorDataset(d=d, vectors=np.vstack(rows), source=str(path))
+    return np.vstack(rows)
 
 
-def read_vectors(path: str | Path) -> VectorDataset:
-    """Read a dataset written by :func:`write_vectors`."""
+def read_vectors(path: str | Path) -> np.ndarray:
+    """The ``(n, d)`` float64 array in a file written by :func:`write_vectors`."""
     path = Path(path)
     _check_suffix(path)
     raw = path.read_bytes()
@@ -318,9 +304,8 @@ class VectorReader:
         self.path = Path(path)
         self._fh = None
         if self.path.suffix != ".fjlv":
-            dataset = read_vectors(self.path)
-            self._vectors = dataset.vectors
-            self.d, self.count = dataset.d, len(dataset)
+            self._vectors = read_vectors(self.path)
+            self.count, self.d = self._vectors.shape
             return
         self._fh = open(self.path, "rb")
         try:
@@ -354,14 +339,3 @@ class VectorReader:
                 raise DimensionMismatchError(f"{self.path}: payload ends before row {self.count}")
             _check_finite(self.path, block, lo)
             yield block.astype(np.float64, copy=False)
-
-
-def pad_to_power_of_two(dataset: VectorDataset) -> VectorDataset:
-    """Zero-pad vectors on the right to the next power-of-two dimension."""
-    d = dataset.d
-    if is_power_of_two(d):
-        return dataset
-    target = 1 << (d - 1).bit_length()
-    padded = np.zeros((len(dataset), target), dtype=np.float64)
-    padded[:, :d] = dataset.vectors
-    return VectorDataset(d=target, vectors=padded, source=dataset.source)

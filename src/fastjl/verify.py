@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
-from .instances import VectorDataset, hard_vector
+from .instances import hard_vector
 from .rng import run_trials
 from .sparsity import choose_k
 from .transform import (
@@ -46,6 +46,7 @@ from .transform import (
     _gap_batch,
     _geometric_positions,
     _phd,
+    is_power_of_two,
 )
 
 Z95 = 1.96
@@ -384,16 +385,15 @@ def _safe_exp(exponent: float) -> float:
     return math.exp(exponent)
 
 
-def lemma_bound(spec: BoundSpec, *, check_domain: bool = True) -> float:
+def lemma_bound(spec: BoundSpec) -> float:
     """Numeric value of the bound's right-hand side (may exceed 1: vacuous).
 
-    Domain violations raise :class:`DomainError` unless ``check_domain``
-    is False, so they are reported rather than silently ignored.
+    Domain violations raise :class:`DomainError`, so they are reported rather
+    than silently ignored.
     """
-    if check_domain:
-        violations = spec.domain_violations()
-        if violations:
-            raise DomainError(f"{spec.lemma.value}: " + "; ".join(violations))
+    violations = spec.domain_violations()
+    if violations:
+        raise DomainError(f"{spec.lemma.value}: " + "; ".join(violations))
     if spec.lemma is Lemma.MAX_Z:
         m, q, k, alpha = spec["m"], spec["q"], spec["k"], spec["alpha"]
         return k * _safe_exp(-m * q * math.log(1.0 / alpha) / (32.0 * alpha))
@@ -472,16 +472,11 @@ def run_bound_check(spec: BoundSpec, trials: int, seed: int, workers: int = 1) -
 
 def default_bound_grid() -> list[BoundSpec]:
     """Hypothesis-satisfying grid used by ``verify-lemmas`` and the acceptance suite."""
-    specs: list[BoundSpec] = []
     ms = (16, 64, 256)
     qs = (0.05, 0.25, 0.5)
     ks = (8, 64)
-    alphas = (0.05, 0.1, 0.25)
-    for m in ms:
-        for q in qs:
-            for k in ks:
-                for alpha in alphas:
-                    specs.append(BoundSpec(Lemma.MAX_Z, {"m": m, "q": q, "k": k, "alpha": alpha}))
+    specs = [BoundSpec(Lemma.MAX_Z, {"m": m, "q": q, "k": k, "alpha": alpha})
+             for m in ms for q in qs for k in ks for alpha in (0.05, 0.1, 0.25)]
     for m in ms:
         for q in qs:
             for t in sorted({2.0 * q, 4.0 * q, 0.25, 0.5, 1.0}):
@@ -520,10 +515,7 @@ def default_bound_grid() -> list[BoundSpec]:
 
 
 def _norm_window_fails(ratio_sq: np.ndarray, eps: float, criterion: NormCriterion) -> np.ndarray:
-    if criterion is NormCriterion.SQUARED_NORM:
-        r = ratio_sq
-    else:
-        r = np.sqrt(ratio_sq)
+    r = ratio_sq if criterion is NormCriterion.SQUARED_NORM else np.sqrt(ratio_sq)
     return (r <= 1.0 - eps) | (r >= 1.0 + eps)
 
 
@@ -621,16 +613,19 @@ def estimate_failure_rate(
 ) -> TailEstimate:
     """Fraction of fresh (D, P) draws that distort the norm criterion.
 
-    ``source`` is a fixed vector of length params.d, a callable
-    ``rng -> vector`` drawn once per trial, or (with ``pairwise=True``) a
-    fixed point set of shape (n_points, d); in pairwise mode a trial fails
-    when any pairwise distance is distorted.
+    ``source`` is a fixed vector of length params.d or (with
+    ``pairwise=True``) a fixed point set of shape (n_points, d_raw) with
+    ``d // 2 < d_raw <= d``; in pairwise mode a trial fails when any pairwise
+    distance is distorted.  Points narrower than d are zero-padded inside the
+    kernel's scratch, so the true distances come from the raw columns and no
+    padded copy of the set is made.  NaN or infinity in ``source`` raises
+    :class:`ParameterError`.
 
     Single-vector trials go in sub-chunks of about 2^15 cells (sized from the
-    shapes only).  A chunk draws its vectors (for a callable source), its signs
-    and, with one gap-skipping call, the supports of all its projections.  Given
-    the support S_i, row i of ``P H D x`` is ``N(0, sum_{j in S_i} (HDx)_j^2 / q)``,
-    so each trial draws k Gaussians instead of one weight per entry of P.  The
+    shapes only).  A chunk draws its signs and, with one gap-skipping call,
+    the supports of all its projections.  Given the support S_i, row i of
+    ``P H D x`` is ``N(0, sum_{j in S_i} (HDx)_j^2 / q)``, so each trial draws
+    k Gaussians instead of one weight per entry of P.  The
     arrays of about ``t k d q`` entries (gaps, positions, rows, cells, gathered
     values) live in one scratch per block, so per thread, that every chunk
     reuses: arrays made afresh per chunk cost about 40 page faults per trial.
@@ -644,15 +639,18 @@ def estimate_failure_rate(
     """
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
+    x = np.asarray(source, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ParameterError("source has a non-finite value")
     if pairwise:
-        points = source.vectors if isinstance(source, VectorDataset) else np.asarray(source, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != d:
-            raise DimensionError(f"pairwise source must have shape (n, {d}), got {points.shape}")
-        if points.shape[0] < 2:
+        if x.ndim != 2 or not d // 2 < x.shape[1] <= d:
+            raise DimensionError(f"pairwise source must be (n, d_raw) with {d // 2} < d_raw <= {d}, got {x.shape}")
+        n = len(x)
+        if n < 2:
             raise ParameterError("pairwise mode needs at least two points")
-        ii, jj = np.triu_indices(points.shape[0], k=1)
-        flat = ii * points.shape[0] + jj
-        true_sq = _pair_sq_distances(points)
+        ii, jj = np.triu_indices(n, k=1)
+        flat = ii * n + jj
+        true_sq = _pair_sq_distances(x)
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
 
@@ -660,36 +658,22 @@ def estimate_failure_rate(
             failures = 0
             for _ in range(count):
                 signs = _draw_signs(rng, d)
-                emb = _phd(points, signs, *_draw_projection_arrays(rng, k, d, q), k)
+                emb = _phd(x, signs, *_draw_projection_arrays(rng, k, d, q), k)
                 failures += _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion, flat=flat)
             return failures
 
         return TailEstimate.from_counts(sum(run_trials(params.seed, trials, draw, workers)), trials)
 
-    fixed = None if callable(source) else np.asarray(source, dtype=np.float64)
-    if fixed is not None:
-        if fixed.ndim != 1 or fixed.shape[0] != d:
-            raise DimensionError(f"source vector must have length {d}, got shape {fixed.shape}")
-        fixed_sq = float(fixed @ fixed)
-        if fixed_sq == 0.0:
-            raise ParameterError("zero vector: norm criterion undefined")
+    if x.ndim != 1 or x.shape[0] != d:
+        raise DimensionError(f"source vector must have length {d}, got shape {x.shape}")
+    x_sq = float(x @ x)
+    if x_sq == 0.0:
+        raise ParameterError("zero vector: norm criterion undefined")
     log_d = d.bit_length() - 1
     step = max(1, int(_TRIAL_CHUNK_CELLS // max(d, k * d * q)))
     trial_base = (np.arange(step * k) // k) << log_d  # row of the stacked supports -> trial * d
 
     def one_chunk(rng: np.random.Generator, t: int, scratch: list[np.ndarray]) -> int:
-        if fixed is None:
-            x = np.empty((t, d))
-            for r in range(t):
-                v = np.asarray(source(rng), dtype=np.float64)
-                if v.shape != (d,):
-                    raise DimensionError(f"generated vector must have length {d}, got {v.shape}")
-                x[r] = v
-            x_sq = np.einsum("ij,ij->i", x, x)
-            if not np.all(x_sq):
-                raise ParameterError("zero vector: norm criterion undefined")
-        else:
-            x, x_sq = fixed, fixed_sq
         u = _draw_signs(rng, (t, d))  # becomes (H D x)^2, one row per trial
         u *= x
         _fwht_last_axis(u)
@@ -722,10 +706,10 @@ def coord_exceedance_rate(
 ) -> TailEstimate:
     """Fraction of sign draws with max_i |(HDx)_i| above sqrt(threshold_c ln(n) / d)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError("x must be a vector")
-    if abs(float(x @ x) - 1.0) > 1e-9:
-        raise ParameterError("x must be a unit vector")
+    if x.ndim != 1 or not is_power_of_two(len(x)):
+        raise DimensionError(f"x must be a vector of power-of-two length, got shape {x.shape}")
+    if not abs(float(x @ x) - 1.0) <= 1e-9:  # NaN or infinity in x makes x @ x NaN or infinity
+        raise ParameterError("x must be a finite unit vector")
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
     if threshold_c <= 0:
@@ -927,11 +911,8 @@ def elementary_grid() -> list[tuple[float, float]]:
     """A 100 x 100 grid of admissible (x, a) pairs."""
     pairs: list[tuple[float, float]] = []
     for xi in np.linspace(0.0, 1.0, 100):
-        if xi == 0.0:
-            a_values = np.linspace(0.0, 100.0, 100)
-        else:
-            a_values = np.linspace(0.0, 1.0 / xi, 100)
-        pairs.extend((float(xi), float(a)) for a in a_values)
+        a_max = 100.0 if xi == 0.0 else 1.0 / xi
+        pairs.extend((float(xi), float(a)) for a in np.linspace(0.0, a_max, 100))
     return pairs
 
 
@@ -972,10 +953,7 @@ class WitnessReport:
         while the remaining sum stays >= (1-3 eps)(k-1)."""
         if not self.failed.any():
             return 0.0
-        if dominant:
-            big, rest = self.max_term, self.rest_excluding_max
-        else:
-            big, rest = self.first_term, self.rest_sum
+        big, rest = (self.max_term, self.rest_excluding_max) if dominant else (self.first_term, self.rest_sum)
         hit = (big > self.eps * self.k) & (rest >= (1.0 - 3.0 * self.eps) * (self.k - 1))
         return float(np.count_nonzero(hit & self.failed) / np.count_nonzero(self.failed))
 

@@ -12,10 +12,8 @@ import pytest
 
 from fastjl import (
     ParameterError,
-    VectorDataset,
     apply_phd,
     embed_with,
-    pad_to_power_of_two,
     read_vectors,
     sample_projection,
     sample_signs,
@@ -30,7 +28,7 @@ from fastjl.transform import _CHUNK_CELLS, _phd
 
 def make_dataset(path, n=6, d=20, seed=0):
     rng = np.random.default_rng(seed)
-    write_vectors(path, VectorDataset(d=d, vectors=rng.standard_normal((n, d))))
+    write_vectors(path, rng.standard_normal((n, d)))
 
 
 class TestParseConfig:
@@ -171,8 +169,7 @@ class TestEmbedCommand:
                      "--eps", "0.25", "--n", "1000", "--scheduler", "theorem1",
                      "--k", "8", "--seed", "3"])
         assert code == 0
-        out = read_vectors(dst)
-        assert out.d == 8 and len(out) == 5
+        assert read_vectors(dst).shape == (5, 8)
         log = capsys.readouterr().out
         assert "d=32" in log  # 20 padded to 32
         assert repr(q_theorem1(0.25, 1000, 32)) in log
@@ -191,7 +188,7 @@ class TestEmbedCommand:
         # 600 rows at d=1024 run as three row chunks
         src = tmp_path / "x.fjlv"
         pts = np.random.default_rng(2).standard_normal((600, 1000))
-        write_vectors(src, VectorDataset(d=1000, vectors=pts))
+        write_vectors(src, pts)
         outs = []
         for workers in ("1", "2"):
             dst = tmp_path / f"y{workers}.fjlv"
@@ -202,7 +199,7 @@ class TestEmbedCommand:
         diag, proj = sample_signs(1024, 6), sample_projection(32, 1024, 0.05, 6)
         padded = np.zeros((600, 1024))
         padded[:, :1000] = pts
-        emb = read_vectors(tmp_path / "y1.fjlv").vectors
+        emb = read_vectors(tmp_path / "y1.fjlv")
         for i in (0, 255, 256, 599):
             assert np.abs(emb[i] - embed_with(padded[i], diag, proj)).max() < 1e-12
 
@@ -219,10 +216,10 @@ class TestEmbedCommand:
         src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((8, 256))
-        write_vectors(src, VectorDataset(d=256, vectors=pts))
+        write_vectors(src, pts)
         assert main(["embed", "--in", str(src), "--out", str(dst),
                      "--q", "1.0", "--k", "256", "--seed", "11"]) == 0
-        emb = read_vectors(dst).vectors
+        emb = read_vectors(dst)
         for i in range(4):
             for j in range(i + 1, 4):
                 true = np.linalg.norm(pts[i] - pts[j])
@@ -241,11 +238,13 @@ def whole_file_embedding(src, dst, k, q, seed):
     zero-padded rows, which sums over d columns; the two agree to rounding.
     """
     raw = read_vectors(src)
-    data = pad_to_power_of_two(raw)
-    diag, proj = sample_signs(data.d, seed), sample_projection(k, data.d, q, seed)
-    Y = _phd(raw.vectors, diag.signs, proj.indptr, proj.cols, proj.weights, k)
-    assert np.abs(Y - apply_phd(data.vectors, diag, proj)).max(initial=0.0) < 1e-12
-    write_vectors(dst, VectorDataset(d=k, vectors=Y))
+    d = 1 << (raw.shape[1] - 1).bit_length()
+    padded = np.zeros((len(raw), d))
+    padded[:, : raw.shape[1]] = raw
+    diag, proj = sample_signs(d, seed), sample_projection(k, d, q, seed)
+    Y = _phd(raw, diag.signs, proj.indptr, proj.cols, proj.weights, k)
+    assert np.abs(Y - apply_phd(padded, diag, proj)).max(initial=0.0) < 1e-12
+    write_vectors(dst, Y)
 
 
 class TestStreamedEmbed:
@@ -259,7 +258,7 @@ class TestStreamedEmbed:
         src, dst, ref = tmp_path / f"x{src_suffix}", tmp_path / f"y{dst_suffix}", tmp_path / f"r{dst_suffix}"
         X = np.random.default_rng(rows).standard_normal((rows, d_raw))
         X[:1] = 0.0  # an all-zero row: its output zeros must carry the reference's signs
-        write_vectors(src, VectorDataset(d=d_raw, vectors=X))
+        write_vectors(src, X)
         assert self.run(src, dst, workers) == 0
         whole_file_embedding(src, ref, 32, 0.05, 9)
         assert dst.read_bytes() == ref.read_bytes()
@@ -282,7 +281,7 @@ class TestStreamedEmbed:
         X = np.random.default_rng(3).standard_normal((rows, 1000))
         X[-1, 7] = np.nan
         src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
-        write_vectors(src, VectorDataset(d=1000, vectors=X))
+        write_vectors(src, X)
         dst.write_bytes(b"an earlier output")
         assert self.run(src, dst, "1") == 2
         err = capsys.readouterr().err.splitlines()
@@ -307,7 +306,7 @@ class TestStreamedEmbed:
         for rows in (1000, 4000):
             src = tmp_path / f"x{rows}.fjlv"
             X = np.random.default_rng(rows).standard_normal((rows, 1000))
-            write_vectors(src, VectorDataset(d=1000, vectors=X))
+            write_vectors(src, X)
             del X
             tracemalloc.start()
             try:
@@ -345,6 +344,34 @@ class TestVerifyUpperCommand:
         assert code == 0
         records = [json.loads(line) for line in report.read_text().splitlines()]
         assert [r["experiment"] for r in records] == ["pairwise_failure_rate", "coord_exceedance"]
+
+    # records written when the CLI still padded the points to 256 columns itself;
+    # the sha256 covers the whole record but wall_time_ms and the two echoed paths
+    @pytest.mark.parametrize(
+        "seed,successes,digest",
+        [(11, 85, "2beef4eab86bf411"), (12, 75, "cd80b1883e57eca0"), (13, 81, "6cdd6f07bf505bd0")],
+    )
+    def test_pairwise_record_on_raw_200_columns_is_pinned(self, tmp_path, seed, successes, digest):
+        src, report = tmp_path / "pts.fjlv", tmp_path / "upper.jsonl"
+        write_vectors(src, np.random.default_rng(2024).standard_normal((40, 200)))
+        assert main(["verify-upper", "--d", "256", "--eps", "0.7", "--k", "64", "--q", "0.1",
+                     "--trials", "200", "--pairwise", "--in", str(src), "--report", str(report),
+                     "--seed", str(seed), "--workers", "1"]) == 0
+        (record,) = [json.loads(line) for line in report.read_text().splitlines()]
+        del record["wall_time_ms"], record["params"]["config"]["in_path"], record["params"]["config"]["report"]
+        assert record["successes"] == successes
+        assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("d_raw,d", [(200, 128), (200, 512), (128, 256)])
+    def test_pairwise_d_must_be_the_padded_width(self, tmp_path, capsys, d_raw, d):
+        src, report = tmp_path / "pts.fjlv", tmp_path / "upper.jsonl"
+        make_dataset(src, n=5, d=d_raw)
+        assert main(["verify-upper", "--d", str(d), "--eps", "0.5", "--k", "16", "--q", "0.5",
+                     "--pairwise", "--in", str(src), "--report", str(report)]) == 2
+        padded = 1 << (d_raw - 1).bit_length()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"fastjl: error: --d {d} disagrees with padded input dimension {padded}"]
+        assert not report.exists()
 
 
 class TestVerifyLemmasCommand:

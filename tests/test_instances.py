@@ -9,10 +9,8 @@ from fastjl import (
     DimensionMismatchError,
     InstanceError,
     ParameterError,
-    VectorDataset,
     apply_signs,
     hard_vector,
-    pad_to_power_of_two,
     random_unit_vector,
     read_vectors,
     sample_signs,
@@ -124,19 +122,18 @@ class TestVectorIo:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-8, 8, size=(3, 4))
         data[1] = [-0.0, 5e-324, 1e308, 1.0]  # signed zero, smallest subnormal, near the largest float
-        ds = VectorDataset(d=4, vectors=data)
         path = tmp_path / f"x{suffix}"
-        write_vectors(path, ds)
+        write_vectors(path, data)
         back = read_vectors(path)
-        assert back.d == 4
-        assert np.array_equal(back.vectors, data)
-        assert np.array_equal(np.signbit(back.vectors), np.signbit(data))
+        assert back.shape == (3, 4) and back.dtype == np.float64
+        assert np.array_equal(back, data)
+        assert np.array_equal(np.signbit(back), np.signbit(data))
         if suffix == ".csv":  # 17 significant digits, shortest exponent form
             assert path.read_text().splitlines()[1] == "-0,4.9406564584124654e-324,1e+308,1"
 
     def test_binary_header_layout(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=3, vectors=np.zeros((2, 3))))
+        write_vectors(path, np.zeros((2, 3)))
         raw = path.read_bytes()
         assert raw[:4] == b"FJLV"
         assert int.from_bytes(raw[4:6], "little") == 1          # version u16
@@ -146,14 +143,14 @@ class TestVectorIo:
 
     def test_truncated_binary_payload_names_row(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=4, vectors=np.ones((2, 4))))
+        write_vectors(path, np.ones((2, 4)))
         path.write_bytes(path.read_bytes()[:-8])  # drop one value
         with pytest.raises(DimensionMismatchError, match="row 2"):
             read_vectors(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=2, vectors=np.ones((1, 2))))
+        write_vectors(path, np.ones((1, 2)))
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
@@ -190,27 +187,29 @@ class TestVectorIo:
         data = np.ones((5, 3))
         data[2, 1] = bad
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=3, vectors=data))
+        write_vectors(path, data)
         with pytest.raises(DatasetFormatError, match="row 3 has a non-finite value"):
             read_vectors(path)
 
     def test_binary_read_is_a_view_of_the_file_bytes(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=4, vectors=np.ones((3, 4))))
-        vectors = read_vectors(path).vectors
+        write_vectors(path, np.ones((3, 4)))
+        vectors = read_vectors(path)
         assert not vectors.flags.owndata and not vectors.flags.writeable
 
     def test_unknown_suffix(self, tmp_path):
         with pytest.raises(DatasetFormatError):
-            write_vectors(tmp_path / "x.dat", VectorDataset(d=1, vectors=np.zeros((1, 1))))
+            write_vectors(tmp_path / "x.dat", np.zeros((1, 1)))
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_vectors(tmp_path / "missing.fjlv")
 
-    def test_dataset_shape_validation(self):
-        with pytest.raises(DimensionError):
-            VectorDataset(d=3, vectors=np.zeros((2, 4)))
+    def test_write_rejects_a_non_matrix(self, tmp_path):
+        for shape in [(), (4,), (2, 2, 2)]:
+            with pytest.raises(DimensionError):
+                write_vectors(tmp_path / "x.fjlv", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBlockIo:
@@ -218,23 +217,23 @@ class TestBlockIo:
     @pytest.mark.parametrize("rows", [1, 4, 5, 9])
     def test_blocks_match_read_vectors(self, tmp_path, suffix, rows):
         path = tmp_path / f"x{suffix}"
-        write_vectors(path, VectorDataset(d=3, vectors=np.random.default_rng(rows).standard_normal((rows, 3))))
+        write_vectors(path, np.random.default_rng(rows).standard_normal((rows, 3)))
         with VectorReader(path) as reader:
             assert (reader.d, reader.count) == (3, rows)
             blocks = [b.copy() for b in reader.blocks(4)]
         assert [len(b) for b in blocks] == [min(4, rows - lo) for lo in range(0, rows, 4)]
-        assert np.array_equal(np.vstack(blocks), read_vectors(path).vectors)
+        assert np.array_equal(np.vstack(blocks), read_vectors(path))
 
     def test_binary_blocks_reuse_one_buffer(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=2, vectors=np.arange(12.0).reshape(6, 2)))
+        write_vectors(path, np.arange(12.0).reshape(6, 2))
         with VectorReader(path) as reader:
             first, second = (b.__array_interface__["data"][0] for b in reader.blocks(3))
         assert first == second
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=5, vectors=np.zeros((0, 5))))
+        write_vectors(path, np.zeros((0, 5)))
         with VectorReader(path) as reader:
             assert (reader.d, reader.count) == (5, 0)
             assert list(reader.blocks(4)) == []
@@ -243,7 +242,7 @@ class TestBlockIo:
         data = np.ones((10, 3))
         data[8, 2] = np.inf
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=3, vectors=data))
+        write_vectors(path, data)
         with VectorReader(path) as reader:
             blocks = reader.blocks(4)
             next(blocks), next(blocks)
@@ -252,7 +251,7 @@ class TestBlockIo:
 
     def test_truncated_payload_is_rejected_on_opening(self, tmp_path):
         path = tmp_path / "x.fjlv"
-        write_vectors(path, VectorDataset(d=4, vectors=np.ones((2, 4))))
+        write_vectors(path, np.ones((2, 4)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DimensionMismatchError, match="row 2"):
             VectorReader(path)
@@ -262,7 +261,7 @@ class TestBlockIo:
         data = np.random.default_rng(0).standard_normal((7, 3))
         data[2] = [-0.0, 5e-324, 1e308]
         whole, blocks = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
-        write_vectors(whole, VectorDataset(d=3, vectors=data))
+        write_vectors(whole, data)
         with vector_writer(blocks, 3, 7) as write:
             for lo in range(0, 7, 3):
                 write(data[lo : lo + 3])
@@ -278,15 +277,3 @@ class TestBlockIo:
         assert path.read_bytes() == b"earlier"
         assert [p.name for p in tmp_path.iterdir()] == ["x.fjlv"]
 
-
-class TestPadding:
-    def test_pads_to_next_power_of_two(self):
-        ds = VectorDataset(d=5, vectors=np.ones((2, 5)))
-        padded = pad_to_power_of_two(ds)
-        assert padded.d == 8
-        assert np.array_equal(padded.vectors[:, :5], ds.vectors)
-        assert np.all(padded.vectors[:, 5:] == 0.0)
-
-    def test_noop_when_already_power_of_two(self):
-        ds = VectorDataset(d=8, vectors=np.ones((2, 8)))
-        assert pad_to_power_of_two(ds) is ds

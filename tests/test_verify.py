@@ -45,6 +45,7 @@ from fastjl.verify import (
 from fastjl.instances import random_unit_vector
 from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
+from fastjl.transform import _PhdKernel, sample_projection
 
 from helpers import wilson_reference
 
@@ -127,11 +128,6 @@ class TestFailureRate:
         with pytest.raises(ParameterError):
             estimate_failure_rate(params, np.zeros(4), 10)
 
-    def test_per_trial_generator_source(self):
-        params = JlParams(d=8, k=4, eps=0.9, q=1.0, seed=3)
-        est = estimate_failure_rate(params, lambda rng: random_unit_vector(8, int(rng.integers(2**32))), 200)
-        assert est.trials == 200
-
     def test_pairwise_mode(self):
         rng = np.random.default_rng(2)
         points = rng.standard_normal((6, 64))
@@ -149,26 +145,21 @@ class TestFailureRate:
         with pytest.raises(ParameterError):
             estimate_failure_rate(params, points, 10, pairwise=True)
 
-    def test_callable_source_runs_through_the_chunk_loop(self):
-        # a source that ignores its generator leaves the stream of the fixed-vector path
-        params = JlParams(d=64, k=20, eps=0.3, q=0.5, seed=4)
-        x = random_unit_vector(64, 2)
-        calls = []
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # unchecked, the window compares came out False and p_hat read 0
+        x = np.ones(8)
+        x[3] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            estimate_failure_rate(JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0), x, 10)
 
-        def source(rng):
-            calls.append(rng)
-            return x
-
-        est = estimate_failure_rate(params, source, 1000)
-        assert est == estimate_failure_rate(params, x, 1000)
-        assert len(calls) == 1000 and all(isinstance(rng, np.random.Generator) for rng in calls)
-
-    def test_callable_source_is_validated(self):
-        params = JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0)
-        with pytest.raises(DimensionError):
-            estimate_failure_rate(params, lambda rng: np.ones(4), 10)
-        with pytest.raises(ParameterError):
-            estimate_failure_rate(params, lambda rng: np.zeros(8), 10)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        # unchecked, a NaN point made every trial fail: p_hat read 1
+        points = np.random.default_rng(0).standard_normal((4, 8))
+        points[2, 5] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            estimate_failure_rate(JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0), points, 10, pairwise=True)
 
     def test_workers_agree_across_partial_chunks_and_blocks(self):
         # sub-chunks of 2^15 // (k d q) = 51 trials: neither 4096 nor 61 is a multiple
@@ -272,6 +263,40 @@ class TestPairwiseGram:
         assert verify._pairwise_trial_fails(emb, ii, jj, np.ones(1), 0.5, NormCriterion.SQUARED_NORM)
 
 
+class TestPairwiseRawWidth:
+    """Pairwise points of width d_raw are zero-padded to d inside the kernel, not by the caller."""
+
+    # at 40 points, k = 64 multiplies each padded row by a dense copy of P (rows < k),
+    # and k = 16 folds H and D into that copy; eps keeps the counts away from 0 and 100
+    @pytest.mark.parametrize(
+        "k,eps,criterion,folded",
+        [(64, 0.7, NormCriterion.SQUARED_NORM, False), (16, 0.6, NormCriterion.NORM, True)],
+    )
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_raw_rows_count_as_their_padded_copy(self, monkeypatch, k, eps, criterion, folded, workers):
+        d, q = 256, 0.05
+        points = np.random.default_rng(k).standard_normal((40, 200))
+        padded = np.zeros((40, d))
+        padded[:, :200] = points
+        proj = sample_projection(k, d, q, 0)
+        kernel = _PhdKernel(np.ones(d), proj.indptr, proj.cols, proj.weights, k, len(points))
+        assert (kernel.M is not None, kernel.Pt is not None) == (folded, not folded)
+        monkeypatch.setattr(fastjl_rng, "TRIAL_BLOCK", 16)  # 7 blocks, so 3 workers share them
+        counts = set()
+        for seed in (1, 2, 3):
+            params = JlParams(d=d, k=k, eps=eps, q=q, seed=seed, norm_criterion=criterion)
+            raw = estimate_failure_rate(params, points, 100, pairwise=True, workers=workers)
+            assert raw == estimate_failure_rate(params, padded, 100, pairwise=True, workers=workers)
+            counts.add(raw.successes)
+        assert not counts & {0, 100} and len(counts) > 1
+
+    @pytest.mark.parametrize("d_raw", [64, 128, 257])
+    def test_width_outside_the_padding_range_rejected(self, d_raw):
+        points = np.random.default_rng(0).standard_normal((4, d_raw))
+        with pytest.raises(DimensionError, match="128 < d_raw <= 256"):
+            estimate_failure_rate(JlParams(d=256, k=8, eps=0.3, q=0.1, seed=0), points, 10, pairwise=True)
+
+
 class TestCoordExceedance:
     def test_basis_vector_is_flat(self):
         # HD e_1 has |coordinate| = 1/sqrt(d) everywhere, so any c ln n > 1 gives 0
@@ -302,6 +327,17 @@ class TestCoordExceedance:
     def test_requires_unit_norm(self):
         with pytest.raises(ParameterError):
             coord_exceedance_rate(np.ones(4), 1.0, 10.0, 10, seed=0)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, fill):
+        # an all-NaN x used to pass the unit check (NaN compares False) and read p_hat = 0
+        with pytest.raises(ParameterError):
+            coord_exceedance_rate(np.full(8, fill), 1.0, 10.0, 10, seed=0)
+
+    @pytest.mark.parametrize("d", [6, 96])
+    def test_length_must_be_a_power_of_two(self, d):
+        with pytest.raises(DimensionError, match="power-of-two"):
+            coord_exceedance_rate(np.full(d, d**-0.5), 1.0, 10.0, 10, seed=0)
 
 
 class TestZStatistics:

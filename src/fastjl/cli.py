@@ -38,7 +38,7 @@ from .instances import (
     read_vectors,
     vector_writer,
 )
-from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed
+from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed, parallel_map
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
 from .transform import JlParams, NormCriterion, _PhdKernel, sample_projection, sample_signs
 
@@ -94,7 +94,8 @@ class RunConfig:
 _COMMON = [
     ("seed", "--seed", int, None, "master RNG seed (fallback: FASTJL_SEED, then 0)"),
     ("workers", "--workers", int, None,
-     f"worker threads, 1 to {MAX_WORKERS} (Monte Carlo blocks of {TRIAL_BLOCK} trials, embed row chunks)"),
+     f"worker threads, 1 to {MAX_WORKERS}; a unit of work is a verify-lemmas bound-grid point, a "
+     f"contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, or an embed row chunk"),
 ]
 
 _FIELDS: dict[str, list[tuple]] = {
@@ -262,9 +263,12 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         raise ParameterError(f"{command}: unknown scheduler {resolved['scheduler']!r}")
     if resolved.get("criterion") not in (None, *_CRITERIA):
         raise ParameterError(f"{command}: unknown criterion {resolved['criterion']!r}")
+    for dest, flag, typ, *_ in specs:
+        if typ is float and dest in resolved and not math.isfinite(resolved[dest]):
+            raise ParameterError(f"{command}: {flag} must be finite, got {resolved[dest]}")
     for dest, flag in (("c3", "--c3"), ("big_c3", "--C3")):
-        if dest in resolved and not (math.isfinite(resolved[dest]) and resolved[dest] > 0.0):
-            raise ParameterError(f"{command}: {flag} must be finite and > 0, got {resolved[dest]}")
+        if dest in resolved and not resolved[dest] > 0.0:
+            raise ParameterError(f"{command}: {flag} must be > 0, got {resolved[dest]}")
 
     config = RunConfig(**resolved)
     _validate_paths(config)
@@ -394,25 +398,35 @@ def _run_verify_upper(config: RunConfig) -> int:
 
 
 def _run_verify_lemmas(config: RunConfig) -> int:
-    echo = config.to_dict()
-    records = []
+    """Write the lemma report; exit 1 when a check reports FAIL.
 
-    for index, spec in enumerate(verify.default_bound_grid()):
+    The bound-grid points are the unit of parallel work: they go over the
+    pool, one task each, and every point draws its trials on its own thread
+    (``workers=1``), so each point's ``wall_time_ms`` is its own.  A point's
+    counts depend only on its seed, ``derive_seed(seed, 0, index)``, and the
+    records keep grid order, so the report is the same at every ``--workers``.
+    The Monte Carlo checks after the grid split their trial blocks over the
+    workers instead.
+    """
+    echo = config.to_dict()
+
+    def bound_record(point: tuple[int, verify.BoundSpec]) -> dict:
+        index, spec = point
         seed = derive_seed(config.seed, 0, index)
         t0 = time.perf_counter()
-        check = verify.run_bound_check(spec, config.trials, seed, workers=config.workers)
-        records.append(
-            verify.make_record(
-                f"lemma_bound:{spec.lemma.value}",
-                params={**{k: float(v) for k, v in spec.params.items()},
-                        "event": spec.event_description(), "config": echo},
-                estimate=check.estimate,
-                bound=check.bound,
-                verdict=check.verdict,
-                seed=seed,
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            )
+        check = verify.run_bound_check(spec, config.trials, seed)
+        return verify.make_record(
+            f"lemma_bound:{spec.lemma.value}",
+            params={**{k: float(v) for k, v in spec.params.items()},
+                    "event": spec.event_description(), "config": echo},
+            estimate=check.estimate,
+            bound=check.bound,
+            verdict=check.verdict,
+            seed=seed,
+            wall_time_ms=(time.perf_counter() - t0) * 1e3,
         )
+
+    records = parallel_map(bound_record, list(enumerate(verify.default_bound_grid())), config.workers)
 
     for index, (r, q, alpha) in enumerate(verify.reverse_chernoff_grid()):
         t0 = time.perf_counter()
@@ -440,7 +454,7 @@ def _run_verify_lemmas(config: RunConfig) -> int:
 
     t0 = time.perf_counter()
     grid = verify.elementary_grid()
-    bad = [(x, a) for x, a in grid if verify.elementary_ineq_check(x, a) is not verify.Verdict.PASS]
+    bad = grid[~verify.elementary_ineq_holds(*grid.T)].tolist()
     records.append(
         verify.make_record(
             "elementary_inequality_grid",

@@ -11,7 +11,8 @@ Monte Carlo runs go through :func:`run_trials`, which splits them into
 fixed blocks of ``TRIAL_BLOCK`` trials; block ``b`` of a run draws
 everything from ``substream(seed, b)``.  The block size is a constant of
 the implementation (never a function of the worker count), which makes
-parallel and sequential runs bit-identical.
+parallel and sequential runs bit-identical; workers take contiguous runs
+of blocks.
 """
 
 from __future__ import annotations
@@ -73,11 +74,20 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
 def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object], workers: int = 1) -> list:
     """``draw(substream(seed, b), count)`` for each block ``b`` of ``TRIAL_BLOCK`` trials, in block order.
 
-    ``count`` is ``TRIAL_BLOCK`` except in the last block.  Blocks run on up to
-    ``workers`` threads; what block ``b`` draws does not depend on ``workers``.
+    ``count`` is ``TRIAL_BLOCK`` except in the last block.  The blocks are cut
+    into ``min(workers, blocks)`` contiguous runs of near-equal length, one
+    pool task each, so a worker takes one hand-off per run, not per block; a
+    run of no more blocks than workers has one task per block.  What block
+    ``b`` draws does not depend on ``workers``.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
-    return parallel_map(lambda lo: draw(substream(seed, lo // TRIAL_BLOCK), min(TRIAL_BLOCK, trials - lo)),
-                        range(0, trials, TRIAL_BLOCK), workers)
+    blocks = -(-trials // TRIAL_BLOCK)
+    runs = max(1, min(workers, blocks))
+
+    def run(r: int) -> list:
+        return [draw(substream(seed, b), min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))
+                for b in range(r * blocks // runs, (r + 1) * blocks // runs)]
+
+    return [result for part in parallel_map(run, range(runs), workers) for result in part]

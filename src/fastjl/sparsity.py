@@ -39,8 +39,8 @@ def _check_eps(eps: float) -> None:
 
 
 def _check_n(n: float) -> None:
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    if not 2 <= n < math.inf:
+        raise ParameterError(f"n must be finite and >= 2, got {n}")
 
 
 def _check_delta(delta: float) -> None:
@@ -54,8 +54,8 @@ def _check_d(d: int) -> None:
 
 
 def _check_multiplier(c: float, name: str) -> None:
-    if not c > 0.0:
-        raise ParameterError(f"{name} must be > 0, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"{name} must be finite and > 0, got {c}")
 
 
 def _clamp_q(value: float) -> float:

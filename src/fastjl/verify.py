@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, ParameterError
 from .instances import hard_vector
 from .rng import run_trials
-from .sparsity import choose_k
+from .sparsity import _check_multiplier, _check_n, choose_k
 from .transform import (
     JlParams,
     NormCriterion,
@@ -78,6 +78,7 @@ __all__ = [
     "gaussian_square_tail_check",
     "gaussian_square_grid",
     "elementary_ineq_check",
+    "elementary_ineq_holds",
     "elementary_grid",
     "WitnessReport",
     "lower_bound_witness",
@@ -180,7 +181,11 @@ def _binomial_table(m: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     within 1.1e-11 at m = 10^4) lands on the mode, and ``cdf[m]`` is exactly 1.
     Entry ``b`` of the int16 table is the x that every u in bucket b maps to,
     or -1 where a CDF step falls inside the bucket; at most m buckets are
-    marked so.
+    marked so.  The table is built in O(2^16 + m), with no search: scaling
+    by 2^16 is exact, so with ``s = cdf * 2^16`` every u in bucket b maps to
+    the number of ``floor(s)`` at most b, unless some ``s[x]`` lies strictly
+    inside (b, b + 1), which marks b.  Entry x then fills the buckets from
+    ``floor(s[x - 1])`` up to ``floor(s[x])``, one ``np.repeat``.
     """
     if q < 1.0:
         pmf = np.exp(_binomial_log_pmf(m, q))
@@ -189,10 +194,10 @@ def _binomial_table(m: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     else:
         cdf = np.zeros(m + 1)
         cdf[m] = 1.0
-    edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-    first = np.searchsorted(cdf, edges[:-1], side="right")  # x at the bucket's least u
-    last = np.searchsorted(cdf, edges[1:], side="left")     # x at the greatest double below the next edge
-    table = np.where(first == last, first, -1).astype(np.int16)
+    scaled = cdf * _GUIDE_BUCKETS
+    steps = np.floor(scaled)  # non-decreasing, and steps[m] = 2^16 since cdf[m] is 1
+    table = np.repeat(np.arange(m + 1, dtype=np.int16), np.diff(steps, prepend=0.0).astype(np.intp))
+    table[steps[steps < scaled].astype(np.intp)] = -1
     cdf.flags.writeable = table.flags.writeable = False
     return cdf, table
 
@@ -619,7 +624,9 @@ def estimate_failure_rate(
     distance is distorted.  Points narrower than d are zero-padded inside the
     kernel's scratch, so the true distances come from the raw columns and no
     padded copy of the set is made.  NaN or infinity in ``source`` raises
-    :class:`ParameterError`.
+    :class:`ParameterError`.  ``source`` is first divided by the power of two
+    that brings its largest ``|entry|`` into [1/2, 1); that is exact, so any
+    finite input gives the rate of its scaled copy, whatever its magnitude.
 
     Single-vector trials go in sub-chunks of about 2^15 cells (sized from the
     shapes only).  A chunk draws its signs and, with one gap-skipping call,
@@ -642,6 +649,9 @@ def estimate_failure_rate(
     x = np.asarray(source, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ParameterError("source has a non-finite value")
+    # scaled by a power of two, exactly, to a largest |entry| in [1/2, 1): squared
+    # norms and distances neither overflow nor underflow, and every ratio is unchanged
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
     if pairwise:
         if x.ndim != 2 or not d // 2 < x.shape[1] <= d:
             raise DimensionError(f"pairwise source must be (n, d_raw) with {d // 2} < d_raw <= {d}, got {x.shape}")
@@ -710,10 +720,8 @@ def coord_exceedance_rate(
         raise DimensionError(f"x must be a vector of power-of-two length, got shape {x.shape}")
     if not abs(float(x @ x) - 1.0) <= 1e-9:  # NaN or infinity in x makes x @ x NaN or infinity
         raise ParameterError("x must be a finite unit vector")
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if threshold_c <= 0:
-        raise ParameterError(f"threshold_c must be > 0, got {threshold_c}")
+    _check_n(n)
+    _check_multiplier(threshold_c, "threshold_c")
     d = x.shape[0]
     threshold = math.sqrt(threshold_c * math.log(n) / d)
     rows_per_batch = max(1, (1 << 21) // d)
@@ -902,18 +910,23 @@ def elementary_ineq_check(x: float, a: float) -> Verdict:
         raise DomainError(f"need 0 <= x <= 1, got x={x}")
     if a < 0.0 or a * x > 1.0:
         raise DomainError(f"need 0 <= a x <= 1, got a={a}, x={x}")
-    lhs = (1.0 - x) ** a
-    rhs = 1.0 - a * x / 2.0
-    return Verdict.PASS if lhs <= rhs + 1e-12 else Verdict.FAIL
+    return Verdict.PASS if elementary_ineq_holds(x, a) else Verdict.FAIL
 
 
-def elementary_grid() -> list[tuple[float, float]]:
-    """A 100 x 100 grid of admissible (x, a) pairs."""
-    pairs: list[tuple[float, float]] = []
-    for xi in np.linspace(0.0, 1.0, 100):
-        a_max = 100.0 if xi == 0.0 else 1.0 / xi
-        pairs.extend((float(xi), float(a)) for a in np.linspace(0.0, a_max, 100))
-    return pairs
+def elementary_ineq_holds(x, a):
+    """``(1-x)^a <= 1 - a x / 2`` (+1e-12 slack), elementwise on arrays; the domain is not checked."""
+    return (1.0 - x) ** a <= 1.0 - a * x / 2.0 + 1e-12
+
+
+def elementary_grid() -> np.ndarray:
+    """A 100 x 100 grid of admissible (x, a) pairs, the rows of a (10000, 2) array.
+
+    Row ``100 i + j`` holds the i-th of 100 evenly spaced x in [0, 1] and the
+    j-th of 100 evenly spaced a in [0, 1/x] (in [0, 100] at x = 0).
+    """
+    xs = np.linspace(0.0, 1.0, 100)
+    a = np.linspace(0.0, np.r_[100.0, 1.0 / xs[1:]], 100, axis=1)
+    return np.stack([np.repeat(xs, 100), a.ravel()], axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -333,6 +333,21 @@ class TestVerifyUpperCommand:
         assert rec["params"]["config"]["command"] == "verify-upper"
         assert 0.0 <= rec["wilson_lo"] <= rec["p_hat"] <= rec["wilson_hi"] <= 1.0
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--scheduler", "theorem1", "--n", "nan"], "--n"),   # ValueError traceback, exit 1
+        (["--scheduler", "theorem1", "--n", "inf"], "--n"),   # OverflowError traceback, exit 1
+        (["--scheduler", "theorem1", "--n", "64", "--c-q", "inf"], "--c-q"),  # ran with q clamped to 1
+        (["--q", "0.5", "--n", "64", "--coord-c", "nan"], "--coord-c"),  # wrote threshold_c NaN
+    ])
+    def test_non_finite_flag_exits_2(self, tmp_path, capsys, flags, flag):
+        report = tmp_path / "upper.jsonl"
+        code = main(["verify-upper", "--d", "64", "--eps", "0.3", "--trials", "10",
+                     "--report", str(report), *flags])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and flag in err[0] and "finite" in err[0]
+        assert not report.exists()
+
     def test_pairwise_and_coord_records(self, tmp_path):
         src = tmp_path / "pts.fjlv"
         make_dataset(src, n=5, d=32)
@@ -394,7 +409,7 @@ class TestVerifyLemmasCommand:
         mgf = [r for r in records if r["experiment"] == "subexponential_mgf_premise"]
         assert len(mgf) == 1 and mgf[0]["verdict"] == "PASS"
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_successes_are_pinned(self, tmp_path, workers):
         # sha256 of [(experiment, successes)] over the whole report: every Monte Carlo count
         # at this seed, which must not depend on --workers
@@ -404,6 +419,20 @@ class TestVerifyLemmasCommand:
         pairs = [(r["experiment"], r.get("successes")) for r in map(json.loads, report.read_text().splitlines())]
         digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
         assert digest == "709c68b4a330bb601fd437eb9bdfb98fb7ebc0e9c386e7ace1ad0b81a634063d"
+
+    def test_records_do_not_depend_on_workers(self, tmp_path):
+        # grid points go over the pool, and every other Monte Carlo check splits its blocks
+        report = tmp_path / "lemmas.jsonl"
+        runs = []
+        for workers in ("1", "2", "3"):
+            assert main(["verify-lemmas", "--trials", "3000", "--seed", "5", "--workers", workers,
+                         "--report", str(report)]) == 1
+            records = [json.loads(line) for line in report.read_text().splitlines()]
+            for r in records:
+                r.pop("wall_time_ms", None)
+                assert r["params"]["config"].pop("workers") == int(workers)
+            runs.append(records)
+        assert len(runs[0]) == 186 and runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize("flag", ["--c3", "--C3"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

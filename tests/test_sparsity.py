@@ -44,6 +44,14 @@ class TestQTheorem1:
         with pytest.raises(ParameterError):
             q_theorem1(0.1, 100, 64, c_q=0.0)
 
+    @pytest.mark.parametrize("n, c_q", [(math.nan, 1.0), (math.inf, 1.0), (100, math.inf), (100, math.nan)])
+    def test_non_finite_n_or_multiplier_rejected(self, n, c_q):
+        # q_theorem1(0.3, nan, 64) returned 0.3, and c_q = inf clamped q to 1
+        with pytest.raises(ParameterError, match="finite"):
+            q_theorem1(0.3, n, 64, c_q)
+        with pytest.raises(ParameterError, match="finite"):
+            q_ailon_chazelle(n, 64, c_q)
+
 
 class TestQAilonChazelle:
     def test_hand_value(self):
@@ -95,6 +103,12 @@ class TestChooseK:
     def test_zero_c_k_rejected(self):
         with pytest.raises(ParameterError):
             choose_k(0.1, n=100, c_k=0.0)
+
+    @pytest.mark.parametrize("n, c_k", [(math.nan, 1.0), (math.inf, 1.0), (100, math.inf)])
+    def test_non_finite_n_or_c_k_rejected(self, n, c_k):
+        # math.ceil raised ValueError (nan) or OverflowError (inf) instead
+        with pytest.raises(ParameterError, match="finite"):
+            choose_k(0.1, n=n, c_k=c_k)
 
     def test_requires_exactly_one_mode(self):
         with pytest.raises(ParameterError):

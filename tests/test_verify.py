@@ -28,6 +28,7 @@ from fastjl.verify import (
     default_bound_grid,
     elementary_grid,
     elementary_ineq_check,
+    elementary_ineq_holds,
     estimate_failure_rate,
     gaussian_square_grid,
     gaussian_square_tail_check,
@@ -160,6 +161,22 @@ class TestFailureRate:
         points[2, 5] = bad
         with pytest.raises(ParameterError, match="non-finite"):
             estimate_failure_rate(JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0), points, 10, pairwise=True)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    def test_squared_norm_out_of_range_reads_the_unit_rate(self, scale):
+        # x @ x overflowed (p_hat read 0.0045, not 0.731) or underflowed ("zero vector")
+        params = JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0)
+        unit = estimate_failure_rate(params, np.ones(8), 2000)
+        assert unit.p_hat == pytest.approx(0.731, abs=5e-4)
+        assert estimate_failure_rate(params, scale * np.ones(8), 2000) == unit
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    def test_scaled_point_set_reads_the_unscaled_rate(self, scale):
+        # at 1e160 the Gram distances overflowed and p_hat read 0.0, not 1.0
+        points = np.random.default_rng(3).standard_normal((5, 8))
+        params = JlParams(d=8, k=4, eps=0.3, q=0.5, seed=0)
+        unscaled = estimate_failure_rate(params, points, 300, pairwise=True)
+        assert estimate_failure_rate(params, scale * points, 300, pairwise=True) == unscaled
 
     def test_workers_agree_across_partial_chunks_and_blocks(self):
         # sub-chunks of 2^15 // (k d q) = 51 trials: neither 4096 nor 61 is a multiple
@@ -334,6 +351,13 @@ class TestCoordExceedance:
         with pytest.raises(ParameterError):
             coord_exceedance_rate(np.full(8, fill), 1.0, 10.0, 10, seed=0)
 
+    @pytest.mark.parametrize("threshold_c, n", [(np.nan, 10.0), (np.inf, 10.0), (0.0, 10.0),
+                                                (1.0, np.nan), (1.0, np.inf), (1.0, 1.0)])
+    def test_threshold_c_and_n_must_be_finite_and_in_range(self, threshold_c, n):
+        # a NaN threshold_c used to run and count no exceedance
+        with pytest.raises(ParameterError, match="finite"):
+            coord_exceedance_rate(np.full(8, 8**-0.5), threshold_c, n, 10, seed=0)
+
     @pytest.mark.parametrize("d", [6, 96])
     def test_length_must_be_a_power_of_two(self, d):
         with pytest.raises(DimensionError, match="power-of-two"):
@@ -436,6 +460,16 @@ class TestBinomialSampler:
         u = u[u < 1.0]
         assert np.array_equal(self._invert(m, q, u), np.searchsorted(cdf, u, side="right"))
         assert (table < 0).any() == (q < 1.0)  # the search path is taken
+
+    @pytest.mark.parametrize("q", [1e-6, 0.05, 0.5, 1 - 1e-6, 1.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 255, 10_000])
+    def test_guide_table_equals_the_two_searches(self, m, q):
+        # reference: searchsorted of the 2^16 bucket edges in the CDF, O(2^16 log m)
+        cdf, table = verify._binomial_table(m, q)
+        edges = np.arange(len(table) + 1) / len(table)
+        first = np.searchsorted(cdf, edges[:-1], side="right")
+        last = np.searchsorted(cdf, edges[1:], side="left")
+        assert np.array_equal(table, np.where(first == last, first, -1).astype(np.int16))
 
     @pytest.mark.parametrize("m, q", LAWS)
     def test_chi_square_fit(self, m, q):
@@ -825,6 +859,20 @@ class TestElementaryInequality:
         assert len(grid) == 10_000
         assert all(elementary_ineq_check(x, a) is Verdict.PASS for x, a in grid)
 
+    def test_grid_equals_the_loop_construction(self):
+        pairs = []
+        for xi in np.linspace(0.0, 1.0, 100):
+            a_max = 100.0 if xi == 0.0 else 1.0 / xi
+            pairs.extend((float(xi), float(a)) for a in np.linspace(0.0, a_max, 100))
+        assert np.array_equal(elementary_grid(), np.array(pairs))
+
+    def test_array_verdicts_equal_the_scalar_check(self):
+        # a pair outside the domain, (1/2, 10), is the one that does not hold
+        grid = np.vstack([elementary_grid(), [[0.5, 10.0]]])
+        holds = elementary_ineq_holds(*grid.T)
+        assert holds[:-1].all() and not holds[-1]
+        assert holds[:-1].tolist() == [elementary_ineq_check(x, a) is Verdict.PASS for x, a in grid[:-1].tolist()]
+
     def test_domain_violations(self):
         with pytest.raises(DomainError):
             elementary_ineq_check(1.5, 0.5)
@@ -960,6 +1008,30 @@ class TestRunTrials:
         expected = [(count, int(substream(4, b).integers(2**62)))
                     for b, count in enumerate((TRIAL_BLOCK, TRIAL_BLOCK, 5))]
         assert run_trials(4, 2 * TRIAL_BLOCK + 5, draw, workers=3) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("blocks", [1, 2, 7])
+    def test_one_stream_per_block_in_block_order(self, monkeypatch, blocks, workers):
+        # the blocks go out as min(workers, blocks) contiguous runs, one task each
+        made, tasks = [], []
+        real_substream, real_map = fastjl_rng.substream, fastjl_rng.parallel_map
+
+        def substream(seed, *key):
+            made.append(key)
+            return real_substream(seed, *key)
+
+        def parallel_map(fn, items, w):
+            tasks.append(len(items))
+            return real_map(fn, items, w)
+
+        monkeypatch.setattr(fastjl_rng, "substream", substream)
+        monkeypatch.setattr(fastjl_rng, "parallel_map", parallel_map)
+        trials = (blocks - 1) * TRIAL_BLOCK + 5
+        got = run_trials(6, trials, lambda rng, count: (count, int(rng.integers(2**62))), workers=workers)
+        counts = [TRIAL_BLOCK] * (blocks - 1) + [5]
+        assert got == [(count, int(real_substream(6, b).integers(2**62))) for b, count in enumerate(counts)]
+        assert sorted(made) == [(b,) for b in range(blocks)]
+        assert tasks == [min(workers, blocks)]
 
     def test_pool_outlives_a_call(self):
         # the process keeps one pool, so a second run's blocks land on the first run's threads

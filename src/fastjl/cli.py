@@ -95,7 +95,8 @@ _COMMON = [
     ("seed", "--seed", int, None, "master RNG seed (fallback: FASTJL_SEED, then 0)"),
     ("workers", "--workers", int, None,
      f"worker threads, 1 to {MAX_WORKERS}; a unit of work is a verify-lemmas bound-grid point, a "
-     f"contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, or an embed row chunk"),
+     f"contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, one pairwise trial's verdict "
+     f"when the run is one block, or an embed row chunk"),
 ]
 
 _FIELDS: dict[str, list[tuple]] = {

@@ -12,11 +12,13 @@ fixed blocks of ``TRIAL_BLOCK`` trials; block ``b`` of a run draws
 everything from ``substream(seed, b)``.  The block size is a constant of
 the implementation (never a function of the worker count), which makes
 parallel and sequential runs bit-identical; workers take contiguous runs
-of blocks.
+of blocks.  A run of one block can still fan out: its trials' verdicts go
+to the pool while the block's thread draws their samples in stream order.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -71,7 +73,23 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     return list(_pool(workers).map(fn, items))
 
 
-def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object], workers: int = 1) -> list:
+def _fan_out(verdict: Callable, samples, workers: int) -> list:
+    """``[verdict(s) for s in samples]``: samples drawn here, in order, verdicts on the pool.
+
+    At most ``2 * workers`` verdicts are in flight, so the samples held at
+    once stay few; a sample is drawn only after the oldest verdict beyond
+    that bound has returned.
+    """
+    pool, pending, out = _pool(workers), collections.deque(), []
+    for sample in samples:
+        pending.append(pool.submit(verdict, sample))
+        if len(pending) == 2 * workers:
+            out.append(pending.popleft().result())
+    return out + [future.result() for future in pending]
+
+
+def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object], workers: int = 1,
+               verdict: Callable | None = None) -> list:
     """``draw(substream(seed, b), count)`` for each block ``b`` of ``TRIAL_BLOCK`` trials, in block order.
 
     ``count`` is ``TRIAL_BLOCK`` except in the last block.  The blocks are cut
@@ -79,12 +97,29 @@ def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object],
     pool task each, so a worker takes one hand-off per run, not per block; a
     run of no more blocks than workers has one task per block.  What block
     ``b`` draws does not depend on ``workers``.
+
+    With ``verdict``, ``draw`` yields one sample per trial and block ``b``
+    gives the list ``[verdict(s) for s in draw(substream(seed, b), count)]``.
+    A run of one block at ``workers > 1`` then fans out inside the block: the
+    calling thread draws the samples in trial order, and the verdicts go to
+    the pool (:func:`_fan_out`).  Blocks on pool threads judge their samples
+    inline, since a pool thread that waits on its own pool can deadlock.  So
+    ``verdict`` must be a pure function of its sample, and the results are
+    the same at every worker count.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
     blocks = -(-trials // TRIAL_BLOCK)
     runs = max(1, min(workers, blocks))
+    if verdict is not None:
+        samples = draw
+        if runs == 1 and workers > 1:
+            def draw(rng, count):
+                return _fan_out(verdict, samples(rng, count), workers)
+        else:
+            def draw(rng, count):
+                return [verdict(sample) for sample in samples(rng, count)]
 
     def run(r: int) -> list:
         return [draw(substream(seed, b), min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))

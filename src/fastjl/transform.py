@@ -64,17 +64,24 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _check_finite(a: np.ndarray, name: str) -> None:
+    # min and max are NaN or infinite when some entry is, and make no temporary array
+    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        raise ParameterError(f"{name} has a non-finite value")
+
+
 def _check_float_vector(v: np.ndarray, name: str = "v") -> None:
     if not isinstance(v, np.ndarray) or v.ndim != 1:
         raise DimensionError(f"{name} must be a 1-d numpy array")
     if v.dtype != np.float64:
         raise ParameterError(f"{name} must have dtype float64, got {v.dtype}")
+    _check_finite(v, name)
 
 
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place multiplication by the normalized Hadamard matrix H_d.
 
-    ``v`` must be a float64 vector whose length is a power of two.  The
+    ``v`` must be a finite float64 vector whose length is a power of two.  The
     result overwrites ``v``, which is also returned (``fwht_inplace(v) is
     v``).  H_d is applied as a Kronecker product of Sylvester blocks of size
     at most 64, one BLAS product per block, in O(d log d) flops for every d.
@@ -354,7 +361,8 @@ def _draw_projection_arrays(
     weights = rng.standard_normal(len(pos))
     weights /= math.sqrt(q)
     indptr = np.searchsorted(pos, np.arange(0, (k + 1) * d, d, dtype=np.int64))
-    return indptr.astype(np.int64, copy=False), pos % d, weights
+    cols = pos & (d - 1) if is_power_of_two(d) else pos % d  # the mask costs a tenth of the division
+    return indptr.astype(np.int64, copy=False), cols, weights
 
 
 def sample_projection(k: int, d: int, q: float, seed: int) -> SparseProjection:
@@ -431,9 +439,12 @@ class _PhdKernel:
         self.step = max(1, _CHUNK_CELLS // d)
         self.M = self.Pt = None
         if _dense_projection_pays(rows, len(cols), k * d):
-            P = (_scratch.take(_DENSE_P_SLOT, k * d) if one_shot else np.empty(k * d)).reshape(k, d)
+            cells = np.repeat(np.arange(0, k * d, d), np.diff(indptr))
+            cells += cols
+            P = _scratch.take(_DENSE_P_SLOT, k * d) if one_shot else np.empty(k * d)
             P.fill(0.0)
-            P[np.repeat(np.arange(k), np.diff(indptr)), cols] = self.weights
+            P[cells] = self.weights  # one flat scatter, about half the cost of a 2-d one
+            P = P.reshape(k, d)
             if rows >= k:  # P H D: H is symmetric, so it transforms the rows of P
                 self.M = _fwht_last_axis(P)
                 self.M *= signs
@@ -490,20 +501,22 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     applies the rows in fixed chunks of about 2 MB, spread over ``workers``
     threads of the process's one pool, each keeping its chunk scratch (see
     :class:`_PhdKernel`).  The output is bit-identical at every worker count.
+    NaN or infinity in ``X`` raises :class:`ParameterError`.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
         raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")
     if X.dtype != np.float64:
         raise ParameterError(f"X must have dtype float64, got {X.dtype}")
+    _check_finite(X, "X")
     return _phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers)
 
 
 def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     """The full embedding k^{-1/2} P H D x with (D, P) drawn from params.seed.
 
-    ``x`` must already have length params.d (callers zero-pad to the next
-    power of two beforehand; this layer rejects other lengths so the
-    unitary contract of H stays exact).  Bit-identical to ``embed_with``
+    ``x`` must be finite and already have length params.d (callers zero-pad
+    to the next power of two beforehand; this layer rejects other lengths so
+    the unitary contract of H stays exact).  Bit-identical to ``embed_with``
     applied to ``sample_signs`` / ``sample_projection`` at the same seed,
     but skips building the intermediate structures.
     """

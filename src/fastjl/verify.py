@@ -27,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -63,8 +63,6 @@ __all__ = [
     "BoundCheck",
     "run_bound_check",
     "default_bound_grid",
-    "ZStatistics",
-    "simulate_z_statistics",
     "estimate_failure_rate",
     "coord_exceedance_rate",
     "binomial_tail_exact",
@@ -142,14 +140,6 @@ class Verdict(Enum):
 # captures on the worst-case vector with m equal coordinates
 
 
-class ZStatistics(NamedTuple):
-    """Per-trial max, sum and sum of squares of the k values."""
-
-    max_z: np.ndarray
-    sum_z: np.ndarray
-    sum_zsq: np.ndarray
-
-
 # Largest n of Binomial(n, q) for the log-pmf, so for the sampler and the exact
 # tail; the lgamma terms' error grows with log n!.
 _BINOMIAL_MAX_N = 10_000
@@ -157,7 +147,7 @@ _BINOMIAL_MAX_N = 10_000
 # Buckets of the guide table: u in [b, b + 1) / 2^16 falls in bucket b.
 _GUIDE_BUCKETS = 1 << 16
 
-# Cells (trials x k) per sub-chunk of a z-statistics block; see simulate_z_statistics.
+# Cells (trials x k) per sub-chunk of a z-statistics block; see _z_trials.
 _Z_CHUNK_CELLS = 1 << 15
 
 # the uniforms, the bucket indices (then the squares) and the counts of one sub-chunk, per thread
@@ -244,40 +234,17 @@ def _z_trials(k, trials, seed, workers, reduce) -> list:
 
 
 def _z_counts(u, cdf, table):
-    """The int16 counts at the uniforms ``u`` and their int32 squares, both in scratch of u's shape."""
+    """The int16 counts at the uniforms ``u`` and their int32 squares, both in scratch of u's shape.
+
+    Each count is ``searchsorted(cdf, u, side="right")`` bit for bit: the exact
+    Binomial(m, q) CDF inverted at u through the guide table.
+    """
     cells = u.size
     index = _z_scratch.take(1, cells).view(np.int64)
     counts = _z_scratch.take(2, -(-cells // 4)).view(np.int16)[:cells]  # 4 int16 per float64 cell
     x = _binomial_invert(u.ravel(), cdf, table, counts, index).reshape(u.shape)
     # m^2 <= 10^8 fits int32; the squares take the bucket indices' cells
     return x, np.multiply(x, x, out=index.view(np.int32)[:cells].reshape(u.shape), dtype=np.int32)
-
-
-def simulate_z_statistics(
-    m: int, q: float, k: int, trials: int, seed: int, workers: int = 1
-) -> ZStatistics:
-    """Draw (max, sum, sum of squares) of k independent Binomial(m, q)/m values per trial.
-
-    Each count is drawn by inverting the exact Binomial(m, q) CDF (from
-    :func:`_binomial_log_pmf`) at a uniform ``rng.random`` draw u: a guide
-    table of 2^16 buckets of u gives the count directly, and the few buckets
-    that hold a CDF step are resolved by ``np.searchsorted``.  So every count
-    equals ``searchsorted(cdf, u, side="right")`` bit for bit, at any (m, q).
-    The table is built once per (m, q) and cached (16 entries).  A block draws
-    its trials in sub-chunks of about 2^15 cells into per-thread scratch, the
-    k counts of trial i of a sub-chunk at ``[:, i]`` of a (k, rows) array; the
-    statistics are reduced exactly on the integer counts and divided by m (or
-    m^2) once.  Memory is O(m) for the table plus O(2^15 + trials) cells.
-    ``m`` is at most 10^4, the range of :func:`binomial_tail_exact`.
-    :func:`run_bound_check` draws the same uniforms and counts its event on them.
-    """
-    m, q, k, cdf, table = _z_table(m, q, k)
-
-    def statistics(u):
-        x, squares = _z_counts(u, cdf, table)
-        return x.max(axis=0) / m, x.sum(axis=0) / m, squares.sum(axis=0) / (m * m)
-
-    return ZStatistics(*map(np.concatenate, zip(*_z_trials(k, trials, seed, workers, statistics))))
 
 
 # --------------------------------------------------------------------------
@@ -433,14 +400,16 @@ class BoundCheck:
 
 
 def _z_event_successes(m, q, k, stat, threshold, trials, seed, workers) -> int:
-    """``np.count_nonzero(stat > threshold)`` over :func:`simulate_z_statistics` at the same arguments.
+    """How many trials have ``stat > threshold``, each trial's k values ``Binomial(m, q) / m``.
 
-    ``stat`` is ``"max_z"`` or ``"sum_zsq"``; each sub-chunk of uniforms is
-    counted in one pass.  For ``max_z`` no count is drawn: with ``c0`` the
-    least count whose quotient ``c0 / m`` (the same float division) exceeds
-    the threshold, a count reaches ``c0`` exactly when its uniform reaches
-    ``cdf[c0 - 1]``, so a trial succeeds when its largest uniform does, at one
-    compare per cell.  For ``sum_zsq`` only the sum of squares is reduced.
+    ``stat`` is ``"max_z"`` or ``"sum_zsq"``, the largest value or the sum of
+    squares.  Each count is that of :func:`_z_counts` at the uniforms of
+    :func:`_z_trials`, and each sub-chunk of uniforms is counted in one pass.
+    For ``max_z`` no count is drawn: with ``c0`` the least count whose
+    quotient ``c0 / m`` (the same float division) exceeds the threshold, a
+    count reaches ``c0`` exactly when its uniform reaches ``cdf[c0 - 1]``, so
+    a trial succeeds when its largest uniform does, at one compare per cell.
+    For ``sum_zsq`` only the sum of squares is reduced.
     """
     m, q, k, cdf, table = _z_table(m, q, k)
     if stat == "max_z":
@@ -458,9 +427,9 @@ def _z_event_successes(m, q, k, stat, threshold, trials, seed, workers) -> int:
 def run_bound_check(spec: BoundSpec, trials: int, seed: int, workers: int = 1) -> BoundCheck:
     """Simulate the event a bound controls and compare frequencies.
 
-    The successes are those of :func:`simulate_z_statistics` at the same seed,
-    counted on its uniforms by :func:`_z_event_successes` without building the
-    statistics: a max-type cell costs one uniform and one compare.
+    The successes are counted on the uniforms of the z-statistics stream by
+    :func:`_z_event_successes`, without building the statistics: a max-type
+    cell costs one uniform and one compare.
     """
     bound = lemma_bound(spec)  # raises on domain violations before any work
     m, q = int(spec["m"]), spec["q"]
@@ -592,18 +561,28 @@ def _pairwise_trial_fails(
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are recomputed below
         G = emb @ emb.T
         g = G.diagonal()
-        gi, gj = g[ii], g[jj]
-        est = gi + gj - 2.0 * G.ravel()[flat]
-        ratio = est / true_sq
-        slack = margin * (k + 4) * (_UNIT_ROUNDOFF * (gi + gj + np.abs(est)) + _SMALLEST_SUBNORMAL) / true_sq
+        s = g[ii]
+        s += g[jj]  # G_ii + G_jj
+        ratio = G.ravel()[flat]
+        ratio *= -2.0
+        ratio += s  # est = G_ii + G_jj - 2 G_ij, and below est / true_sq: in place, with the formula's rounding
+        slack = np.abs(ratio)
+        slack += s
+        slack *= _UNIT_ROUNDOFF
+        slack += _SMALLEST_SUBNORMAL
+        slack *= margin * (k + 4)
+        slack /= true_sq
+        ratio /= true_sq
     lo, hi = 1.0 - eps, 1.0 + eps
     if criterion is NormCriterion.NORM:
         lo, hi = lo * lo, hi * hi
-    if np.any((ratio < lo - slack) | (ratio > hi + slack)):
-        return True
+    # the pairs outside the sure-inside window: a sure failure is one of them
     near = np.flatnonzero(~((ratio > lo + slack) & (ratio < hi - slack)))
     if not near.size:
         return False
+    ratio, slack = ratio[near], slack[near]
+    if np.any((ratio < lo - slack) | (ratio > hi + slack)):
+        return True
     exact = ((emb[ii[near]] - emb[jj[near]]) ** 2).sum(axis=1)
     return bool(np.any(_norm_window_fails(exact / true_sq[near], eps, criterion)))
 
@@ -636,13 +615,16 @@ def estimate_failure_rate(
     arrays of about ``t k d q`` entries (gaps, positions, rows, cells, gathered
     values) live in one scratch per block, so per thread, that every chunk
     reuses: arrays made afresh per chunk cost about 40 page faults per trial.
-    Pairwise trials embed the points with :func:`fastjl.transform._phd` and
-    take distances from the Gram matrix, recomputing pairs near a window edge
-    with the direct formula, so every verdict is the direct formula's.
-    Memory is O(chunk) for single vectors and O(n^2 + n k) for n points.
-    Trials go through :func:`fastjl.rng.run_trials`: block ``b`` of
-    :data:`fastjl.rng.TRIAL_BLOCK` trials draws from ``substream(seed, b)``, so
-    counts are the same at every worker count.
+    A pairwise trial is a sample, its signs and P drawn from the block's
+    stream, and a verdict: embed the points with
+    :func:`fastjl.transform._phd` and take distances from the Gram matrix,
+    recomputing pairs near a window edge with the direct formula, so every
+    verdict is the direct formula's.  Memory is O(chunk) for single vectors
+    and O(n^2 + n k) per verdict in flight for n points.  Trials go through
+    :func:`fastjl.rng.run_trials`: block ``b`` of
+    :data:`fastjl.rng.TRIAL_BLOCK` trials draws from ``substream(seed, b)``,
+    and a one-block pairwise run judges its samples on the pool, so counts
+    are the same at every worker count.
     """
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
@@ -664,15 +646,15 @@ def estimate_failure_rate(
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
 
-        def draw(rng: np.random.Generator, count: int) -> int:
-            failures = 0
+        def samples(rng: np.random.Generator, count: int):
             for _ in range(count):
-                signs = _draw_signs(rng, d)
-                emb = _phd(x, signs, *_draw_projection_arrays(rng, k, d, q), k)
-                failures += _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion, flat=flat)
-            return failures
+                yield _draw_signs(rng, d), *_draw_projection_arrays(rng, k, d, q)
 
-        return TailEstimate.from_counts(sum(run_trials(params.seed, trials, draw, workers)), trials)
+        def verdict(sample) -> bool:
+            return _pairwise_trial_fails(_phd(x, *sample, k), ii, jj, true_sq, eps, criterion, flat=flat)
+
+        blocks = run_trials(params.seed, trials, samples, workers, verdict=verdict)
+        return TailEstimate.from_counts(sum(map(sum, blocks)), trials)
 
     if x.ndim != 1 or x.shape[0] != d:
         raise DimensionError(f"source vector must have length {d}, got shape {x.shape}")
@@ -892,7 +874,7 @@ class GaussianSquareCheck:
 
 def gaussian_square_tail_check(x: float) -> GaussianSquareCheck:
     """Exact P[N^2 >= x] (via erfc) versus the bound 1 - sqrt(1 - exp(-2x/pi))."""
-    if x < 0.0:
+    if not x >= 0.0:  # NaN too
         raise ParameterError(f"x must be >= 0, got {x}")
     exact = math.erfc(math.sqrt(x / 2.0))
     bound = 1.0 - math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * x / math.pi)))

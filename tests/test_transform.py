@@ -193,6 +193,15 @@ class TestSampleProjection:
         assert np.array_equal(a.cols, b.cols)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_stream_is_pinned_at_every_width(self):
+        # every d from 1 to 1024: the columns of a power-of-two d come from a mask, the rest from %
+        h = hashlib.sha256()
+        for d in range(1, 1025):
+            P = sample_projection(min(d, 8), d, 0.3, seed=d)
+            for a in (P.indptr, P.cols, P.weights):
+                h.update(a.tobytes())
+        assert h.hexdigest()[:16] == "2ae64a402edbe76c"
+
     def test_nnz_matches_binomial_mean(self):
         # 100 seeds at k=100, d=1000, q=0.01: mean nnz within 3 sigma of Binomial(1e5, 0.01)
         k, d, q = 100, 1000, 0.01
@@ -378,6 +387,16 @@ class TestEmbed:
         with pytest.raises(DimensionError):
             embed(np.zeros(8), JlParams(d=16, k=4, eps=0.1, q=0.5, seed=0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        params = JlParams(d=16, k=4, eps=0.1, q=0.5, seed=0)
+        x = np.ones(16)
+        x[3] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            embed(x, params)
+        with pytest.raises(ParameterError, match="non-finite"):
+            embed_with(x, sample_signs(16, 0), sample_projection(4, 16, 0.5, 0))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -496,6 +515,14 @@ class TestApplyPhd:
             apply_phd(np.zeros((2, 4)), diag, proj)
         with pytest.raises(ParameterError):
             apply_phd(np.zeros((2, 8), dtype=np.float32), diag, proj)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        diag, proj = sample_signs(8, seed=0), sample_projection(2, 8, 0.5, seed=0)
+        X = np.ones((3, 8))
+        X[2, 5] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            apply_phd(X, diag, proj)
 
     def test_dense_projection_rule(self):
         # a single row never pays for the copy; no copy is larger than the cap

@@ -39,7 +39,6 @@ from fastjl.verify import (
     reverse_chernoff_check,
     reverse_chernoff_grid,
     run_bound_check,
-    simulate_z_statistics,
     total_mass_statistic,
     wilson_interval,
 )
@@ -48,7 +47,7 @@ from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
 from fastjl.transform import _PhdKernel, sample_projection
 
-from helpers import wilson_reference
+from helpers import simulate_z_statistics, wilson_reference
 
 
 class TestWilson:
@@ -278,6 +277,71 @@ class TestPairwiseGram:
         assert not verify._pairwise_trial_fails(emb, ii, jj, np.ones(1), 0.5, NormCriterion.SQUARED_NORM)
         emb[1, 1] = 2.0
         assert verify._pairwise_trial_fails(emb, ii, jj, np.ones(1), 0.5, NormCriterion.SQUARED_NORM)
+
+
+class TestPairwiseFanOut:
+    """A one-block pairwise run draws its samples on the calling thread and judges them on the pool."""
+
+    POINTS = np.random.default_rng(21).standard_normal((24, 64))
+    PARAMS = JlParams(d=64, k=32, eps=0.8, q=0.25, seed=21)
+
+    def test_counts_equal_at_every_worker_count_and_verdicts_spread(self, monkeypatch):
+        real, threads = verify._pairwise_trial_fails, {}
+
+        def recorded(*args, **kwargs):
+            threads[workers].add(threading.get_ident())
+            time.sleep(0.002)  # so that the next verdict finds this thread busy
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_pairwise_trial_fails", recorded)
+        counts = set()
+        for workers in (1, 2, 3):
+            threads[workers] = set()
+            counts.add(estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True, workers=workers).successes)
+        assert len(counts) == 1 and 0 < counts.pop() < 60
+        assert threads[1] == {threading.get_ident()}
+        assert len(threads[2]) > 1 and threading.get_ident() not in threads[2]
+
+    def test_more_workers_than_cores_under_a_short_switch_interval(self):
+        serial = estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True).successes
+        result, interval = {}, sys.getswitchinterval()
+
+        def run():
+            result["est"] = estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True, workers=5)
+
+        thread = threading.Thread(target=run, daemon=True)
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert result["est"].successes == serial
+
+    def test_a_failing_verdict_propagates(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise FloatingPointError("verdict")
+
+        monkeypatch.setattr(verify, "_pairwise_trial_fails", fails)
+        with pytest.raises(FloatingPointError, match="verdict"):
+            estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True, workers=2)
+
+    def test_blocks_on_pool_threads_judge_inline(self, monkeypatch):
+        # 7 blocks over 3 workers run on pool threads; a block there that handed its
+        # verdicts to the pool would wait on its own pool
+        monkeypatch.setattr(fastjl_rng, "TRIAL_BLOCK", 16)
+        serial = estimate_failure_rate(self.PARAMS, self.POINTS, 100, pairwise=True).successes
+        result = {}
+
+        def run():
+            result["est"] = estimate_failure_rate(self.PARAMS, self.POINTS, 100, pairwise=True, workers=3)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert result["est"].successes == serial
 
 
 class TestPairwiseRawWidth:
@@ -848,6 +912,10 @@ class TestGaussianSquareTail:
         with pytest.raises(ParameterError):
             gaussian_square_tail_check(-0.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ParameterError):
+            gaussian_square_tail_check(math.nan)
+
 
 class TestElementaryInequality:
     @pytest.mark.parametrize("x,a", [(0.0, 7.0), (0.5, 2.0), (1.0, 1.0)])
@@ -1033,6 +1101,37 @@ class TestRunTrials:
         assert sorted(made) == [(b,) for b in range(blocks)]
         assert tasks == [min(workers, blocks)]
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_verdicts_in_flight_are_bounded(self, workers):
+        # drawn - judged bounds the verdicts in flight from above
+        lock, state, drawers = threading.Lock(), {"drawn": 0, "judged": 0, "most": 0}, set()
+
+        def note():
+            with lock:
+                state["most"] = max(state["most"], state["drawn"] - state["judged"])
+
+        def samples(rng, count):
+            for _ in range(count):
+                note()
+                drawers.add(threading.get_ident())
+                value = int(rng.integers(2**62))
+                with lock:
+                    state["drawn"] += 1
+                yield value
+
+        def verdict(sample):
+            note()
+            time.sleep(0.002)
+            with lock:
+                state["judged"] += 1
+            return sample % 7
+
+        got = run_trials(8, 40, samples, workers, verdict=verdict)
+        rng = substream(8, 0)
+        assert got == [[int(rng.integers(2**62)) % 7 for _ in range(40)]]
+        assert drawers == {threading.get_ident()}
+        assert 2 * workers - 1 <= state["most"] <= 2 * workers
+
     def test_pool_outlives_a_call(self):
         # the process keeps one pool, so a second run's blocks land on the first run's threads
         # and find the scratch those threads made
@@ -1087,6 +1186,11 @@ STREAM_PINS = {
         lambda w: estimate_failure_rate(JlParams(d=16, k=16, q=0.5, eps=0.8, seed=33),
                                         np.random.default_rng(8).standard_normal((6, 16)), T,
                                         pairwise=True, workers=w).successes, 2415),
+    # one block, so at 3 workers its verdicts go to the pool
+    "estimate_failure_rate_pairwise_one_block": (
+        lambda w: estimate_failure_rate(JlParams(d=16, k=16, q=0.5, eps=0.8, seed=39),
+                                        np.random.default_rng(10).standard_normal((6, 16)), 300,
+                                        pairwise=True, workers=w).successes, 81),
     "coord_exceedance_rate": (
         lambda w: coord_exceedance_rate(_pin_unit_vector(), 2.0, 100.0, T, seed=34, workers=w).successes, 953),
     "chisq_lower_tail_check": (

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ParameterError
+from .errors import MAX_SIZE, ParameterError, check_size
 from .instances import random_unit_vector
 from .rng import derive_seed
 from .sparsity import q_ailon_chazelle, q_theorem1
@@ -33,6 +33,9 @@ METHOD_FASTJL_NEW = "FastJL_New"
 METHODS = (METHOD_DENSE, METHOD_FASTJL_AC, METHOD_FASTJL_NEW)
 
 CSV_HEADER = "method,d,k,q,nnz,reps,median_ns,setup_ns"
+
+# A median of fewer than three timed runs is one run, or the mean of two.
+_REPS = (3, MAX_SIZE)
 
 __all__ = [
     "METHODS",
@@ -61,10 +64,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.k > self.d:
-            raise ParameterError(f"k must be <= d, got k={self.k}, d={self.d}")
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        check_size("k", self.k, (1, check_size("d", self.d)))
 
     def resolve_q(self) -> float:
         if self.method == METHOD_DENSE:
@@ -92,12 +92,9 @@ class BenchRecord:
     setup_time_ns: int
 
     def __post_init__(self) -> None:
-        if self.reps < 3:
-            raise ParameterError(f"reps must be >= 3, got {self.reps}")
-        if self.median_embed_time_ns < 0 or self.setup_time_ns < 0:
-            raise ParameterError("times must be >= 0")
-        if self.nnz_observed < 0:
-            raise ParameterError("nnz must be >= 0")
+        check_size("reps", self.reps, _REPS)
+        for name in ("median_embed_time_ns", "setup_time_ns", "nnz_observed"):
+            check_size(name, getattr(self, name), (0, MAX_SIZE))
 
 
 def _build_apply(config: BenchConfig, q: float, seed: int):
@@ -121,8 +118,7 @@ def run_bench(
     warmup: int = 3,
 ) -> list[BenchRecord]:
     """Time the apply path of each configuration; median of ``reps`` runs."""
-    if reps < 3:
-        raise ParameterError(f"reps must be >= 3, got {reps}")
+    check_size("reps", reps, _REPS)
     records = []
     for index, config in enumerate(configs):
         q = config.resolve_q()

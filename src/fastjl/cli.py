@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import verify
-from .errors import FastJlError, ParameterError
+from .errors import POSITIVE, FastJlError, ParameterError, check_real, check_size
 from .instances import (
     _atomic_write_bytes,
     VectorReader,
@@ -46,6 +46,7 @@ __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
 _SCHEDULERS = ("theorem1", "ac")
 _CRITERIA = {"squared": NormCriterion.SQUARED_NORM, "norm": NormCriterion.NORM}
+_REAL = ("(", -math.inf, math.inf, ")")
 
 
 @dataclass
@@ -249,8 +250,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             raise ParameterError(f"FASTJL_SEED must be an integer, got {env_seed!r}") from None
     if "workers" not in resolved:
         resolved["workers"] = 1 if command == "bench" else min(os.cpu_count() or 1, MAX_WORKERS)
-    if not 1 <= resolved["workers"] <= MAX_WORKERS:
-        raise ParameterError(f"{command}: --workers must be in [1, {MAX_WORKERS}], got {resolved['workers']}")
+    check_real("--workers", resolved["workers"], ("[", 1, MAX_WORKERS, "]"))  # an int already: argparse or int()
 
     for name in _REQUIRED[command]:
         if resolved.get(name) is None:
@@ -265,11 +265,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     if resolved.get("criterion") not in (None, *_CRITERIA):
         raise ParameterError(f"{command}: unknown criterion {resolved['criterion']!r}")
     for dest, flag, typ, *_ in specs:
-        if typ is float and dest in resolved and not math.isfinite(resolved[dest]):
-            raise ParameterError(f"{command}: {flag} must be finite, got {resolved[dest]}")
-    for dest, flag in (("c3", "--c3"), ("big_c3", "--C3")):
-        if dest in resolved and not resolved[dest] > 0.0:
-            raise ParameterError(f"{command}: {flag} must be > 0, got {resolved[dest]}")
+        if typ is float and dest in resolved:
+            check_real(flag, resolved[dest], POSITIVE if dest in ("c3", "big_c3") else _REAL)
 
     config = RunConfig(**resolved)
     _validate_paths(config)
@@ -321,8 +318,7 @@ def _run_embed(config: RunConfig) -> int:
         d = 1 << (reader.d - 1).bit_length()  # zero-padded to a power of two inside the kernel
         q = _resolve_q(config, d)
         k = _resolve_k(config)
-        if k > d:
-            raise ParameterError(f"derived k={k} exceeds padded dimension d={d}")
+        check_size("k", k, (1, d))
         diag = sample_signs(d, config.seed)
         proj = sample_projection(k, d, q, config.seed)
         kernel = _PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, reader.count)

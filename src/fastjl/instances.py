@@ -19,7 +19,7 @@ Readers reject NaN and infinity, naming the first bad row (1-based).
 Vectors travel as plain ``(n, d)`` float64 arrays, at any width d; the PHD
 kernel zero-pads rows to a power of two in its own scratch, so nothing here
 pads.  :func:`read_vectors` and :func:`write_vectors` move a whole array
-(a ``.fjlv`` read is a read-only view of the file's bytes);
+(a ``.fjlv`` read is one read-only block of :class:`VectorReader`);
 :class:`VectorReader` and :func:`vector_writer` move it a block of rows at
 a time, which CLI ``embed`` uses.  A ``.fjlv`` input then streams in
 O(block) memory, a ``.csv`` input is still read whole, and output of
@@ -44,9 +44,10 @@ from .errors import (
     DimensionError,
     DimensionMismatchError,
     InstanceError,
-    ParameterError,
+    check_real,
+    check_size,
 )
-from .rng import check_seed, substream
+from .rng import substream
 from .transform import _CHUNK_CELLS, _fwht_last_axis, is_power_of_two
 
 MAGIC = b"FJLV"
@@ -88,15 +89,14 @@ def hard_level(delta: float) -> int:
     The bracket is non-negative only for delta <= 1/8; for larger delta the
     construction degenerates to l = 0 (a single spike coordinate).
     """
-    if not 0.0 < delta < 0.5:
-        raise ParameterError(f"delta must be in (0, 1/2), got {delta}")
+    check_real("delta", delta, ("(", 0, 0.5, ")"))
     bracket = math.log2(math.log2(1.0 / math.sqrt(2.0 * delta)))
     return max(0, math.floor(bracket))
 
 
 def hard_vector(delta: float, d: int) -> HardInstance:
     """Construct the hard instance for failure probability delta in dimension d."""
-    if not is_power_of_two(d):
+    if not is_power_of_two(check_size("d", d, error=DimensionError)):
         raise DimensionError(f"d must be a power of two, got {d}")
     level = hard_level(delta)
     width = 2**level
@@ -126,9 +126,8 @@ def hard_vector(delta: float, d: int) -> HardInstance:
 
 def random_unit_vector(d: int, seed: int) -> np.ndarray:
     """Uniform random direction: iid Gaussians normalized to unit length."""
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
-    rng = substream(check_seed(seed))
+    d = check_size("d", d)
+    rng = substream(seed)
     while True:
         v = rng.standard_normal(d)
         norm = math.sqrt(v @ v)
@@ -235,21 +234,15 @@ def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
 
 
 def _check_finite(path: Path, rows: np.ndarray, first: int) -> None:
-    """Reject ``rows`` if one holds NaN or infinity, naming it (1-based, counting from row ``first``)."""
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise DatasetFormatError(f"{path}: row {first + int(np.argmin(finite)) + 1} has a non-finite value")
+    """Reject ``rows`` if one holds NaN or infinity, naming it (1-based, counting from row ``first``).
 
-
-def _read_binary(path: Path, raw: bytes) -> np.ndarray:
-    d, count = _parse_header(path, raw, len(raw))
-    # a read-only view of ``raw``, not a copy; callers that write make their own
-    vectors = np.frombuffer(raw, dtype="<f8", count=count * d, offset=_HEADER.size)
-    vectors = vectors.astype(np.float64, copy=False).reshape(count, d)
-    step = max(1, _CHUNK_CELLS // d)  # checked a chunk at a time: no file-sized mask
-    for lo in range(0, count, step):
-        _check_finite(path, vectors[lo : lo + step], lo)
-    return vectors
+    Rows are checked ``_CHUNK_CELLS`` cells at a time, so no mask is the size of the block.
+    """
+    step = max(1, _CHUNK_CELLS // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        finite = np.isfinite(rows[lo : lo + step]).all(axis=1)
+        if not finite.all():
+            raise DatasetFormatError(f"{path}: row {first + lo + int(np.argmin(finite)) + 1} has a non-finite value")
 
 
 def _read_csv(path: Path, raw: bytes) -> np.ndarray:
@@ -281,13 +274,19 @@ def _read_csv(path: Path, raw: bytes) -> np.ndarray:
 
 
 def read_vectors(path: str | Path) -> np.ndarray:
-    """The ``(n, d)`` float64 array in a file written by :func:`write_vectors`."""
+    """The ``(n, d)`` float64 array in a file written by :func:`write_vectors`.
+
+    A ``.fjlv`` file is read by :class:`VectorReader` as one block of all its
+    rows, into one read-only array of the payload's size.
+    """
     path = Path(path)
     _check_suffix(path)
-    raw = path.read_bytes()
-    if path.suffix == ".fjlv":
-        return _read_binary(path, raw)
-    return _read_csv(path, raw)
+    if path.suffix == ".csv":
+        return _read_csv(path, path.read_bytes())
+    with VectorReader(path) as reader:
+        vectors = next(reader.blocks(max(1, reader.count)), np.empty((0, reader.d)))
+    vectors.flags.writeable = False  # callers that write make their own copy
+    return vectors
 
 
 class VectorReader:

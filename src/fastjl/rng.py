@@ -27,20 +27,15 @@ import numpy as np
 # numpy loads numpy.random on first use; every command draws, so load it with the package
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .errors import ParameterError
+from .errors import check_size
 
 TRIAL_BLOCK = 4096
 MAX_WORKERS = 64
 
-_MAX_SEED = 2**64
-
 
 def check_seed(seed: int) -> int:
     """Validate a 64-bit unsigned seed and return it as a plain int."""
-    seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ParameterError(f"seed must be in [0, 2^64), got {seed}")
-    return seed
+    return check_size("seed", seed, (0, 2**64 - 1))
 
 
 def substream(seed: int, *key: int) -> Generator:
@@ -107,11 +102,9 @@ def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object],
     ``verdict`` must be a pure function of its sample, and the results are
     the same at every worker count.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     check_seed(seed)
-    blocks = -(-trials // TRIAL_BLOCK)
-    runs = max(1, min(workers, blocks))
+    blocks = -(-check_size("trials", trials) // TRIAL_BLOCK)
+    runs = max(1, min(check_size("workers", workers, (1, MAX_WORKERS)), blocks))
     if verdict is not None:
         samples = draw
         if runs == 1 and workers > 1:

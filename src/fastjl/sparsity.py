@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParameterError
+from .errors import MAX_SIZE, OPEN_UNIT, POINT_COUNT, POSITIVE, ParameterError, check_real, check_size
 
 Q_FLOOR = 2.0**-32
 
@@ -33,29 +33,7 @@ __all__ = [
 ]
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must be in (0, 1), got {eps}")
-
-
-def _check_n(n: float) -> None:
-    if not 2 <= n < math.inf:
-        raise ParameterError(f"n must be finite and >= 2, got {n}")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta must be in (0, 1), got {delta}")
-
-
-def _check_d(d: int) -> None:
-    if d < 2:
-        raise ParameterError(f"d must be >= 2, got {d}")
-
-
-def _check_multiplier(c: float, name: str) -> None:
-    if not 0.0 < c < math.inf:
-        raise ParameterError(f"{name} must be finite and > 0, got {c}")
+_D = (2, MAX_SIZE)
 
 
 def _clamp_q(value: float) -> float:
@@ -64,10 +42,10 @@ def _clamp_q(value: float) -> float:
 
 def q_theorem1(eps: float, n: float, d: int, c_q: float = 1.0) -> float:
     """Improved sparsity rate for a set of n points, clamped to (0, 1]."""
-    _check_eps(eps)
-    _check_n(n)
-    _check_d(d)
-    _check_multiplier(c_q, "c_q")
+    check_real("eps", eps, OPEN_UNIT)
+    check_real("n", n, POINT_COUNT)
+    check_size("d", d, _D)
+    check_real("c_q", c_q, POSITIVE)
     log_n = math.log(n)
     inner = max(1.0, eps * log_n / math.log(1.0 / eps))
     return _clamp_q(c_q * min(eps, (log_n / d) * inner))
@@ -75,18 +53,18 @@ def q_theorem1(eps: float, n: float, d: int, c_q: float = 1.0) -> float:
 
 def q_ailon_chazelle(n: float, d: int, c_q: float = 1.0) -> float:
     """Classic rate ln^2(n)/d, clamped to (0, 1]."""
-    _check_n(n)
-    _check_d(d)
-    _check_multiplier(c_q, "c_q")
+    check_real("n", n, POINT_COUNT)
+    check_size("d", d, _D)
+    check_real("c_q", c_q, POSITIVE)
     return _clamp_q(c_q * math.log(n) ** 2 / d)
 
 
 def q_lower_threshold(eps: float, delta: float, d: int, c_q: float = 1.0) -> float:
     """Per-vector failure threshold: below this rate the embedding fails w.p. > delta."""
-    _check_eps(eps)
-    _check_delta(delta)
-    _check_d(d)
-    _check_multiplier(c_q, "c_q")
+    check_real("eps", eps, OPEN_UNIT)
+    check_real("delta", delta, OPEN_UNIT)
+    check_size("d", d, _D)
+    check_real("c_q", c_q, POSITIVE)
     log_inv_delta = math.log(1.0 / delta)
     inner = max(1.0, eps * log_inv_delta / math.log(1.0 / eps))
     return _clamp_q(c_q * min(eps, (log_inv_delta / d) * inner))
@@ -97,18 +75,16 @@ def choose_k(eps: float, *, n: float | None = None, delta: float | None = None, 
 
     Exactly one of ``n`` and ``delta`` selects the mode.
     """
-    _check_eps(eps)
-    _check_multiplier(c_k, "c_k")
+    check_real("eps", eps, OPEN_UNIT)
+    check_real("c_k", c_k, POSITIVE)
     if (n is None) == (delta is None):
         raise ParameterError("exactly one of n and delta must be given")
     if n is not None:
-        _check_n(n)
-        log_term = math.log(n)
+        log_term = math.log(check_real("n", n, POINT_COUNT))
     else:
-        assert delta is not None
-        _check_delta(delta)
-        log_term = math.log(1.0 / delta)
-    k = math.ceil(c_k * eps**-2 * log_term)
-    if k < 1:
-        raise ParameterError(f"derived k must be >= 1, got {k}")
-    return k
+        log_term = math.log(1.0 / check_real("delta", delta, OPEN_UNIT))
+    try:
+        k = math.ceil(c_k * eps**-2 * log_term)
+    except OverflowError:  # eps**-2, or the product, beyond the float range
+        k = math.inf
+    return check_size("derived k", k)

@@ -33,8 +33,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .rng import check_seed, parallel_map, substream
+from .errors import OPEN_UNIT, RATE, DimensionError, ParameterError, check_finite, check_real, check_size
+from .rng import MAX_WORKERS, check_seed, parallel_map, substream
 
 # Key paths so that the sign diagonal, the sparse projection and the dense
 # reference matrix drawn from one seed are independent streams.
@@ -64,18 +64,12 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _check_finite(a: np.ndarray, name: str) -> None:
-    # min and max are NaN or infinite when some entry is, and make no temporary array
-    if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
-        raise ParameterError(f"{name} has a non-finite value")
-
-
 def _check_float_vector(v: np.ndarray, name: str = "v") -> None:
     if not isinstance(v, np.ndarray) or v.ndim != 1:
         raise DimensionError(f"{name} must be a 1-d numpy array")
     if v.dtype != np.float64:
         raise ParameterError(f"{name} must have dtype float64, got {v.dtype}")
-    _check_finite(v, name)
+    check_finite(name, v)
 
 
 def fwht_inplace(v: np.ndarray) -> np.ndarray:
@@ -195,14 +189,11 @@ class JlParams:
     norm_criterion: NormCriterion = NormCriterion.SQUARED_NORM
 
     def __post_init__(self) -> None:
-        if not is_power_of_two(self.d):
+        if not is_power_of_two(check_size("d", self.d)):
             raise ParameterError(f"d must be a power of two >= 1, got {self.d}")
-        if not 1 <= self.k <= self.d:
-            raise ParameterError(f"k must satisfy 1 <= k <= d, got k={self.k}, d={self.d}")
-        if not 0.0 < self.eps < 1.0:
-            raise ParameterError(f"eps must be in (0, 1), got {self.eps}")
-        if not 0.0 < self.q <= 1.0:
-            raise ParameterError(f"q must be in (0, 1], got {self.q}")
+        check_size("k", self.k, (1, self.d))
+        check_real("eps", self.eps, OPEN_UNIT)
+        check_real("q", self.q, RATE)
         check_seed(self.seed)
 
 
@@ -217,6 +208,7 @@ class SignDiagonal:
         _check_float_vector(self.signs, "signs")
         if not np.all(np.abs(self.signs) == 1.0):
             raise ParameterError("sign entries must be exactly +1 or -1")
+        check_seed(self.seed)
 
     @property
     def d(self) -> int:
@@ -233,8 +225,7 @@ def _draw_signs(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.nd
 
 def sample_signs(d: int, seed: int) -> SignDiagonal:
     """Draw the random sign diagonal D (deterministic per seed)."""
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    check_size("d", d)
     rng = substream(seed, _SIGNS_KEY)
     return SignDiagonal(signs=_draw_signs(rng, d), seed=check_seed(seed))
 
@@ -263,10 +254,9 @@ class SparseProjection:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.d < 1:
-            raise ParameterError(f"k and d must be >= 1, got k={self.k}, d={self.d}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ParameterError(f"q must be in [0, 1], got {self.q}")
+        check_size("k", self.k)
+        check_size("d", self.d)
+        check_real("q", self.q, ("[", 0, 1, "]"))
         if self.indptr.shape != (self.k + 1,) or self.indptr[0] != 0 or self.indptr[-1] != len(self.cols):
             raise DimensionError("indptr must have shape (k+1,) spanning the entry arrays")
         counts = np.diff(self.indptr)
@@ -282,8 +272,7 @@ class SparseProjection:
             flat = np.repeat(np.arange(self.k, dtype=np.int64) * self.d, counts) + self.cols
             if np.diff(flat).min(initial=1) <= 0:
                 raise DimensionError("column indices must be strictly increasing within a row")
-            if not np.isfinite(self.weights.min()) or not np.isfinite(self.weights.max()):
-                raise ParameterError("weights must be finite")
+            check_finite("weights", self.weights)
 
     @property
     def nnz(self) -> int:
@@ -373,10 +362,9 @@ def sample_projection(k: int, d: int, q: float, seed: int) -> SparseProjection:
     skips over empty cells with geometric gaps, so it costs O(nnz)
     expected time rather than O(kd).
     """
-    if k < 1 or d < 1:
-        raise ParameterError(f"k and d must be >= 1, got k={k}, d={d}")
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
+    check_size("k", k)
+    check_size("d", d)
+    check_real("q", q, RATE)
     rng = substream(seed, _PROJECTION_KEY)
     indptr, cols, weights = _draw_projection_arrays(rng, k, d, q)
     return SparseProjection(k=k, d=d, q=float(q), indptr=indptr, cols=cols, weights=weights)
@@ -507,7 +495,8 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
         raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")
     if X.dtype != np.float64:
         raise ParameterError(f"X must have dtype float64, got {X.dtype}")
-    _check_finite(X, "X")
+    check_finite("X", X)
+    check_size("workers", workers, (1, MAX_WORKERS))
     return _phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers)
 
 
@@ -541,8 +530,8 @@ def embed_with(x: np.ndarray, diag: SignDiagonal, proj: SparseProjection) -> np.
 
 def sample_dense_matrix(k: int, d: int, seed: int) -> np.ndarray:
     """Dense k x d matrix of iid standard Gaussians (deterministic per seed)."""
-    if k < 1 or d < 1:
-        raise ParameterError(f"k and d must be >= 1, got k={k}, d={d}")
+    check_size("k", k)
+    check_size("d", d)
     rng = substream(seed, _DENSE_KEY)
     return rng.standard_normal((k, d))
 

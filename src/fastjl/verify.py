@@ -24,17 +24,17 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import (NON_NEGATIVE, OPEN_UNIT, POINT_COUNT, POSITIVE, RATE, DimensionError, DomainError,
+                     ParameterError, check_finite, check_real, check_size)
 from .instances import hard_vector
 from .rng import run_trials
-from .sparsity import _check_multiplier, _check_n, choose_k
+from .sparsity import choose_k
 from .transform import (
     JlParams,
     NormCriterion,
@@ -96,12 +96,8 @@ __all__ = [
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a Bernoulli proportion."""
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if not 0 <= successes <= trials:
-        raise ParameterError(f"successes must be in [0, {trials}], got {successes}")
-    if not z > 0:
-        raise ParameterError(f"z must be > 0, got {z}")
+    check_size("successes", successes, (0, check_size("trials", trials)))
+    check_real("z", z, POSITIVE)
     p = successes / trials
     zz = z * z / trials
     center = (p + zz / 2.0) / (1.0 + zz)
@@ -208,13 +204,8 @@ def _binomial_invert(u: np.ndarray, cdf: np.ndarray, table: np.ndarray, out: np.
 
 def _z_table(m, q, k):
     """Checked ``(m, q, k)`` as int, float, int, and the CDF and guide table of Binomial(m, q)."""
-    if not (isinstance(m, numbers.Integral) and isinstance(k, numbers.Integral)):
-        raise ParameterError(f"m and k must be integers, got m={m!r}, k={k!r}")
-    if not 1 <= m <= _BINOMIAL_MAX_N or k < 1:
-        raise ParameterError(f"need 1 <= m <= {_BINOMIAL_MAX_N} and k >= 1, got m={m}, k={k}")
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
-    m, k, q = int(m), int(k), float(q)
+    m, k = check_size("m", m, (1, _BINOMIAL_MAX_N)), check_size("k", k)
+    q = float(check_real("q", q, RATE))
     return (m, q, k, *_binomial_table(m, q))
 
 
@@ -290,7 +281,7 @@ class BoundSpec:
         bad: list[str] = []
         p = self.params
         m, q = float(p["m"]), float(p["q"])
-        if m < 1:
+        if not m >= 1:  # each test fails on NaN
             bad.append(f"m >= 1 violated (m={m})")
         # run_bound_check draws with int(m) and int(k), the bound uses them as given
         for name in ("m", "k"):
@@ -302,7 +293,7 @@ class BoundSpec:
             alpha, k = float(p["alpha"]), float(p["k"])
             if not 0.0 < alpha <= 0.25:
                 bad.append(f"alpha in (0, 1/4] violated (alpha={alpha})")
-            if k < 1:
+            if not k >= 1:
                 bad.append(f"k >= 1 violated (k={k})")
         elif self.lemma is Lemma.SINGLE_Z:
             t = float(p["t"])
@@ -310,30 +301,30 @@ class BoundSpec:
                 bad.append(f"t > q violated (t={t}, q={q})")
         elif self.lemma is Lemma.SUM_ZSQ:
             k, t = float(p["k"]), float(p["t"])
-            if k < 1:
+            if not k >= 1:
                 bad.append(f"k >= 1 violated (k={k})")
-            if t < SUM_ZSQ_T_FACTOR * q * q * k:
+            if not t >= SUM_ZSQ_T_FACTOR * q * q * k:
                 bad.append(f"t >= 64*24*e^3 q^2 k violated (t={t}, min={SUM_ZSQ_T_FACTOR * q * q * k:.6g})")
-            if q < 8.0 / (math.e * m):
+            if not q >= 8.0 / (math.e * m):
                 bad.append(f"q >= 8/(e m) violated (q={q}, min={8.0 / (math.e * m):.6g})")
         elif self.lemma is Lemma.SUM_ZSQ_ALT:
             k, t = float(p["k"]), float(p["t"])
             n, c1, c2, eps = float(p["n"]), float(p["c1"]), float(p["c2"]), float(p["eps"])
-            if n < 2:
+            if not n >= 2:
                 bad.append(f"n >= 2 violated (n={n})")
-            if c1 < 1.0:
+            if not c1 >= 1.0:
                 bad.append(f"c1 >= 1 violated (c1={c1})")
-            if c2 <= 0.0 or c1 < 1.0 / c2:
+            if not (c2 > 0.0 and c1 >= 1.0 / c2):
                 bad.append(f"c1 >= 1/c2 violated (c1={c1}, c2={c2})")
             # ambiguous grouping in the source; the stricter reading 1/(4 e c1) is enforced
             if not 0.0 < eps <= 1.0 / (4.0 * math.e * c1):
                 bad.append(f"eps <= 1/(4 e c1) violated (eps={eps}, max={1.0 / (4.0 * math.e * c1):.6g})")
-            if abs(q - c1 * eps) > 1e-9 * max(q, c1 * eps):
+            if not abs(q - c1 * eps) <= 1e-9 * max(q, c1 * eps):
                 bad.append(f"q = c1 eps violated (q={q}, c1 eps={c1 * eps})")
             k_target = c1 * eps**-2 * math.log(n)
-            if k_target <= 0 or abs(k - k_target) > 0.05 * k_target:
+            if not (k_target > 0 and abs(k - k_target) <= 0.05 * k_target):
                 bad.append(f"k = c1 eps^-2 ln n violated (k={k}, target={k_target:.6g})")
-            if t < SUM_ZSQ_ALT_T_FACTOR * c1**3 * math.log(n):
+            if not t >= SUM_ZSQ_ALT_T_FACTOR * c1**3 * math.log(n):
                 bad.append(
                     f"t >= 2 c1^3 e^8 ln n violated (t={t}, min={SUM_ZSQ_ALT_T_FACTOR * c1**3 * math.log(n):.6g})"
                 )
@@ -629,8 +620,7 @@ def estimate_failure_rate(
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
     x = np.asarray(source, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ParameterError("source has a non-finite value")
+    check_finite("source", x)
     # scaled by a power of two, exactly, to a largest |entry| in [1/2, 1): squared
     # norms and distances neither overflow nor underflow, and every ratio is unchanged
     x = np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
@@ -702,8 +692,8 @@ def coord_exceedance_rate(
         raise DimensionError(f"x must be a vector of power-of-two length, got shape {x.shape}")
     if not abs(float(x @ x) - 1.0) <= 1e-9:  # NaN or infinity in x makes x @ x NaN or infinity
         raise ParameterError("x must be a finite unit vector")
-    _check_n(n)
-    _check_multiplier(threshold_c, "threshold_c")
+    check_real("n", n, POINT_COUNT)
+    check_real("threshold_c", threshold_c, POSITIVE)
     d = x.shape[0]
     threshold = math.sqrt(threshold_c * math.log(n) / d)
     rows_per_batch = max(1, (1 << 21) // d)
@@ -741,12 +731,8 @@ def binomial_tail_exact(r: int, q: float, s: int) -> float:
     :func:`reverse_chernoff_grid`; against a 50-digit sum, at most 6.9e-13 at
     r <= 600 and 1.3e-11 at r = 10^4 (the error grows with ``log r!``).
     """
-    if not 0 <= s <= r:
-        raise ParameterError(f"need 0 <= s <= r, got s={s}, r={r}")
-    if r > _BINOMIAL_MAX_N:
-        raise ParameterError(f"r must be <= {_BINOMIAL_MAX_N}, got {r}")
-    if not 0.0 <= q <= 1.0:
-        raise ParameterError(f"q must be in [0, 1], got {q}")
+    check_size("s", s, (0, check_size("r", r, (0, _BINOMIAL_MAX_N))))
+    check_real("q", q, ("[", 0, 1, "]"))
     if s == 0:
         return 1.0
     if q == 0.0:
@@ -790,11 +776,10 @@ def reverse_chernoff_check(r: int, q: float, alpha: float) -> ReverseChernoffChe
     P[Bin(4, 0.05) >= 1] = 1 - 0.95^4 < 1/4).  The check still evaluates such
     points and reports them as FAIL rather than refusing them.
     """
-    if r < 1:
-        raise ParameterError(f"r must be >= 1, got {r}")
+    check_size("r", r)
     if not 0.0 < q <= 0.25:
         raise DomainError(f"hypothesis q <= 1/4 violated (q={q})")
-    if alpha < 0.0 or alpha * q > 0.25:
+    if not (alpha >= 0.0 and alpha * q <= 0.25):  # NaN too
         raise DomainError(f"hypothesis 0 <= alpha q <= 1/4 violated (alpha={alpha}, q={q})")
     threshold = math.ceil((1.0 + alpha) * q * r)
     exact = binomial_tail_exact(r, q, threshold)
@@ -842,15 +827,15 @@ def chisq_lower_tail_check(
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or len(w) == 0:
         raise DimensionError("weights must be a non-empty vector")
+    check_finite("weights", w)
     if np.any(w < 0.0):
         raise ParameterError("weights must be non-negative")
     norm_sq = float(w @ w)
     if norm_sq == 0.0:
         raise ParameterError("weights must not all be zero")
-    if x < 0.0:
-        raise ParameterError(f"x must be >= 0, got {x}")
-    if not (math.isfinite(c3) and c3 > 0.0 and math.isfinite(C3) and C3 > 0.0):
-        raise ParameterError(f"c3 and C3 must be finite and > 0, got c3={c3}, C3={C3}")
+    check_real("x", x, NON_NEGATIVE)
+    check_real("c3", c3, POSITIVE)
+    check_real("C3", C3, POSITIVE)
     exponent = -C3 * x * x / norm_sq
     bound = c3 * (0.0 if exponent < -745.0 else math.exp(exponent))
 
@@ -874,8 +859,7 @@ class GaussianSquareCheck:
 
 def gaussian_square_tail_check(x: float) -> GaussianSquareCheck:
     """Exact P[N^2 >= x] (via erfc) versus the bound 1 - sqrt(1 - exp(-2x/pi))."""
-    if not x >= 0.0:  # NaN too
-        raise ParameterError(f"x must be >= 0, got {x}")
+    check_real("x", x, NON_NEGATIVE)
     exact = math.erfc(math.sqrt(x / 2.0))
     bound = 1.0 - math.sqrt(max(0.0, 1.0 - math.exp(-2.0 * x / math.pi)))
     verdict = Verdict.PASS if exact >= bound else Verdict.FAIL
@@ -890,7 +874,7 @@ def elementary_ineq_check(x: float, a: float) -> Verdict:
     """PASS iff (1-x)^a <= 1 - a x / 2 (+1e-12 slack) on the admissible domain."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"need 0 <= x <= 1, got x={x}")
-    if a < 0.0 or a * x > 1.0:
+    if not (a >= 0.0 and a * x <= 1.0):  # NaN too
         raise DomainError(f"need 0 <= a x <= 1, got a={a}, x={x}")
     return Verdict.PASS if elementary_ineq_holds(x, a) else Verdict.FAIL
 
@@ -963,10 +947,8 @@ def lower_bound_witness(
     sum_i Z_i N_i^2 / q with Z_i = Binomial(m, q)/m, so trials draw those
     variables directly instead of rejection-sampling signs.
     """
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
-    if not 0.0 < eps < 1.0:
-        raise ParameterError(f"eps must be in (0, 1), got {eps}")
+    check_real("q", q, RATE)
+    check_real("eps", eps, OPEN_UNIT)
     inst = hard_vector(delta, d)
     k = choose_k(eps, delta=delta, c_k=1.0)
     m = inst.m
@@ -1008,8 +990,7 @@ def total_mass_statistic(
     k + sqrt(ln(1/(4^4 delta)) 2^l k / (8 d q)); requires delta < 4^-4 for
     the deviation to be defined.
     """
-    if not 0.0 < q <= 1.0:
-        raise ParameterError(f"q must be in (0, 1], got {q}")
+    check_real("q", q, RATE)
     if delta >= 4.0**-4:
         raise DomainError(f"total-mass deviation needs delta < 4^-4, got {delta}")
     inst = hard_vector(delta, d)

@@ -348,6 +348,20 @@ class TestVerifyUpperCommand:
         assert len(err) == 1 and err[0].startswith("fastjl: error:") and flag in err[0] and "finite" in err[0]
         assert not report.exists()
 
+    @pytest.mark.parametrize("argv", [
+        # OverflowError traceback in q_ailon_chazelle, exit 1
+        ["verify-upper", "--eps", "0.5", "--n", "10", "--scheduler", "ac", "--trials", "10"],
+        # OverflowError traceback in q_lower_threshold, exit 1
+        ["verify-lower", "--eps", "0.25", "--delta", "0.05"],
+    ])
+    def test_huge_d_exits_2(self, tmp_path, capsys, argv):
+        report = tmp_path / "r.jsonl"
+        code = main([*argv, "--d", str(2**1100), "--report", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "d must be" in err[0]
+        assert not report.exists()
+
     def test_pairwise_and_coord_records(self, tmp_path):
         src = tmp_path / "pts.fjlv"
         make_dataset(src, n=5, d=32)

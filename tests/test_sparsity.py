@@ -110,6 +110,12 @@ class TestChooseK:
         with pytest.raises(ParameterError, match="finite"):
             choose_k(0.1, n=n, c_k=c_k)
 
+    @pytest.mark.parametrize("eps, c_k", [(1e-200, 1.0), (0.1, 1e307)])
+    def test_derived_k_beyond_the_size_bound_rejected(self, eps, c_k):
+        # eps**-2 raised OverflowError, a traceback from CLI verify-upper --eps 1e-200
+        with pytest.raises(ParameterError, match="derived k"):
+            choose_k(eps, n=100, c_k=c_k)
+
     def test_requires_exactly_one_mode(self):
         with pytest.raises(ParameterError):
             choose_k(0.1, n=100, delta=0.1)

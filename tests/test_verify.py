@@ -652,6 +652,16 @@ class TestLemmaBounds:
             run_bound_check(k_spec, trials=10, seed=0)
         assert BoundSpec(Lemma.MAX_Z, {"m": 16.0, "q": 0.5, "k": 8.0, "alpha": 0.25}).domain_satisfied
 
+    @pytest.mark.parametrize("lemma", list(Lemma))
+    def test_nan_parameter_violates_the_domain(self, lemma):
+        # a NaN t of sum_zsq satisfied the domain and read FAIL against a NaN bound
+        spec = next(s for s in default_bound_grid() if s.lemma is lemma)
+        for name in spec.params:
+            bad = BoundSpec(lemma, {**spec.params, name: math.nan})
+            assert not bad.domain_satisfied
+            with pytest.raises(DomainError):
+                lemma_bound(bad)
+
     def test_vacuous_bound_can_exceed_one(self):
         spec = BoundSpec(Lemma.MAX_Z, {"m": 16, "q": 0.05, "k": 8, "alpha": 0.25})
         assert lemma_bound(spec) > 1.0

@@ -40,7 +40,7 @@ from .instances import (
 )
 from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed, parallel_map
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
-from .transform import JlParams, NormCriterion, _PhdKernel, sample_projection, sample_signs
+from .transform import JlParams, NormCriterion, PhdKernel, sample_projection, sample_signs
 
 __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
@@ -97,7 +97,7 @@ _COMMON = [
     ("workers", "--workers", int, None,
      f"worker threads, 1 to {MAX_WORKERS}; a unit of work is a verify-lemmas bound-grid point, a "
      f"contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, one pairwise trial's verdict "
-     f"when the run is one block, or an embed row chunk"),
+     f"when the run is one block, or a contiguous run of embed row chunks"),
 ]
 
 _FIELDS: dict[str, list[tuple]] = {
@@ -314,6 +314,17 @@ def _resolve_k(config: RunConfig) -> int:
 
 
 def _run_embed(config: RunConfig) -> int:
+    """Embed the input file with one shared ``(D, P)`` into the output file.
+
+    The rows go in kernel chunks of ``kernel.step`` rows counted from row 0,
+    so the output bytes are those of one :meth:`PhdKernel.apply` on all rows.
+    The chunks are cut into ``min(workers, chunks)`` contiguous runs, one
+    ``.csv`` output being one run as its text is only appended.  A run is one
+    pool task that reads, checks, embeds and writes its own chunks through its
+    own two buffers.  A run that fails stops the runs after it; the earliest
+    run's error is raised only once every run has returned, so it names the
+    file's first bad row and no run writes to the output after it is closed.
+    """
     with VectorReader(config.in_path) as reader:
         d = 1 << (reader.d - 1).bit_length()  # zero-padded to a power of two inside the kernel
         q = _resolve_q(config, d)
@@ -321,15 +332,32 @@ def _run_embed(config: RunConfig) -> int:
         check_size("k", k, (1, d))
         diag = sample_signs(d, config.seed)
         proj = sample_projection(k, d, q, config.seed)
-        kernel = _PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, reader.count)
-        # a batch is whole kernel chunks, so chunk boundaries stay at multiples
-        # of kernel.step from row 0 and the output bytes match one apply_phd call
-        batch = config.workers * kernel.step
-        Y = np.empty((min(batch, reader.count), k))
-        with vector_writer(config.out_path, k, reader.count) as write:
-            for X in reader.blocks(batch):
-                kernel.apply(X, Y[: len(X)], config.workers)
-                write(Y[: len(X)])
+        kernel = PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, reader.count)
+        step, count = kernel.step, reader.count
+        chunks = -(-count // step)
+        runs = 1 if config.out_path.endswith(".csv") else max(1, min(config.workers, chunks))
+        errors: list[BaseException | None] = [None] * runs
+        # made here, so the memory held is that of every run at once, however the runs overlap
+        buffers = [(np.empty((min(step, count), reader.d)), np.empty((min(step, count), k))) for _ in range(runs)]
+
+        def run(r: int) -> None:
+            lo, hi = r * chunks // runs * step, min((r + 1) * chunks // runs * step, count)
+            X, Y = buffers[r]
+            try:
+                for first in range(lo, hi, step):
+                    if any(errors[:r]):  # an earlier run failed: its error is the one reported
+                        return
+                    rows = min(step, hi - first)
+                    kernel.apply_chunk(reader.read_rows(first, X[:rows]), Y[:rows])
+                    write(first, Y[:rows])
+            except BaseException as exc:  # raised below, once every run has returned
+                errors[r] = exc
+
+        with vector_writer(config.out_path, k, count) as write:
+            parallel_map(run, range(runs), config.workers)
+            for exc in errors:
+                if exc is not None:
+                    raise exc
     print(
         f"embed: {reader.count} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
         f"seed={config.seed} -> {config.out_path}"

@@ -18,12 +18,12 @@ Two file formats are supported, dispatched on the file suffix:
 Readers reject NaN and infinity, naming the first bad row (1-based).
 Vectors travel as plain ``(n, d)`` float64 arrays, at any width d; the PHD
 kernel zero-pads rows to a power of two in its own scratch, so nothing here
-pads.  :func:`read_vectors` and :func:`write_vectors` move a whole array
-(a ``.fjlv`` read is one read-only block of :class:`VectorReader`);
-:class:`VectorReader` and :func:`vector_writer` move it a block of rows at
-a time, which CLI ``embed`` uses.  A ``.fjlv`` input then streams in
-O(block) memory, a ``.csv`` input is still read whole, and output of
-either format is written block by block.
+pads.  :func:`read_vectors` and :func:`write_vectors` move a whole array;
+:meth:`VectorReader.read_rows` and :func:`vector_writer` move any run of
+rows by its position, which CLI ``embed`` uses.  A ``.fjlv`` input is then
+read and its output written by ``os.preadv`` and ``os.pwrite``, from
+several threads at once, in the memory of their buffers; a ``.csv`` input is
+still read whole, and a ``.csv`` output is written in row order.
 """
 
 from __future__ import annotations
@@ -164,37 +164,57 @@ def _check_suffix(path: Path) -> None:
 
 
 @contextlib.contextmanager
-def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[np.ndarray], None]]:
-    """Write a ``count`` x ``d`` vector file block by block: yields ``write(block)``.
+def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[int, np.ndarray], None]]:
+    """Write a ``count`` x ``d`` vector file a block of rows at a time: yields ``write(first, block)``.
 
-    The suffix selects the format (.fjlv binary, .csv text).  Blocks go
-    straight into the temporary file of an atomic write, with no copy of
-    the whole set; ``path`` is replaced only if exactly ``count`` rows were
-    written and no error escaped, and is otherwise left as it was.
+    ``write`` puts ``block`` at rows ``first, first + 1, ...`` of the file.  The
+    suffix selects the format.  A ``.fjlv`` temporary file is sized for all its
+    rows on opening and each block goes to its own offset with ``os.pwrite``,
+    so blocks may come in any order and from several threads at once.  A
+    ``.csv`` file is text appended row after row, so it takes blocks only in
+    row order.  Blocks go straight into the temporary file of an atomic write,
+    with no copy of the whole set; ``path`` is replaced only if the blocks
+    written cover the ``count`` rows exactly once and no error escaped, and is
+    otherwise left as it was.
     """
     path = Path(path)
     _check_suffix(path)
     binary = path.suffix == ".fjlv"
     row_format = ",".join(["%.17g"] * d) + "\n"  # one % per row: 0.6x the time of an f-string per value
-    written = 0
+    spans: list[tuple[int, int]] = []  # (first, rows) of each block; list.append is atomic
 
-    def write(block: np.ndarray) -> None:
-        nonlocal written
+    def write(first: int, block: np.ndarray) -> None:
         block = np.ascontiguousarray(block, dtype="<f8")
         if block.ndim != 2 or block.shape[1] != d:
             raise DimensionError(f"block must have shape (rows, {d}), got {block.shape}")
-        written += len(block)
+        if not 0 <= first <= count - len(block):
+            raise DimensionMismatchError(f"{path}: rows {first + 1} to {first + len(block)} of {count} declared")
         if binary:
-            fh.write(block.data)
+            _pwrite_all(fh.fileno(), block.reshape(-1), _HEADER.size + first * d * 8)
+        elif first != (sum(spans[-1]) if spans else 0):
+            raise DimensionMismatchError(f"{path}: a .csv file is written in row order, got row {first + 1} next")
         else:
             fh.write("".join(row_format % tuple(row) for row in block.tolist()).encode("ascii"))
+        spans.append((first, len(block)))
 
     with _atomic_file(path) as fh:
         if binary:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, d, count))
+            os.ftruncate(fh.fileno(), _HEADER.size + count * d * 8)
+            _pwrite_all(fh.fileno(), _HEADER.pack(MAGIC, FORMAT_VERSION, d, count), 0)
         yield write
-        if written != count:
-            raise DimensionMismatchError(f"{path}: {written} rows written, {count} declared")
+        covered = 0  # the end of the rows written from row 0 on without a gap or an overlap
+        for first, rows in sorted(spans):
+            covered = covered + rows if first == covered else -1
+        if covered != count:
+            raise DimensionMismatchError(f"{path}: {sum(rows for _, rows in spans)} rows written, {count} declared")
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    """Write all of ``data`` (bytes or a 1-d contiguous array) at ``offset`` of ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
 
 def write_vectors(path: str | Path, X: np.ndarray) -> None:
@@ -203,7 +223,7 @@ def write_vectors(path: str | Path, X: np.ndarray) -> None:
     if X.ndim != 2:
         raise DimensionError(f"vectors must have shape (n, d), got {X.shape}")
     with vector_writer(path, X.shape[1], len(X)) as write:
-        write(X)
+        write(0, X)
 
 
 def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
@@ -276,65 +296,75 @@ def _read_csv(path: Path, raw: bytes) -> np.ndarray:
 def read_vectors(path: str | Path) -> np.ndarray:
     """The ``(n, d)`` float64 array in a file written by :func:`write_vectors`.
 
-    A ``.fjlv`` file is read by :class:`VectorReader` as one block of all its
-    rows, into one read-only array of the payload's size.
+    A ``.fjlv`` file is read by :meth:`VectorReader.read_rows` in one call,
+    into one read-only array over a buffer of the payload's size.
     """
     path = Path(path)
     _check_suffix(path)
     if path.suffix == ".csv":
         return _read_csv(path, path.read_bytes())
     with VectorReader(path) as reader:
-        vectors = next(reader.blocks(max(1, reader.count)), np.empty((0, reader.d)))
+        vectors = np.frombuffer(bytearray(reader.count * reader.d * 8)).reshape(reader.count, reader.d)
+        reader.read_rows(0, vectors)
     vectors.flags.writeable = False  # callers that write make their own copy
     return vectors
 
 
 class VectorReader:
-    """A vector file opened to be read a block of rows at a time.
+    """A vector file opened to be read a run of rows at a time, at any row.
 
     ``d`` and ``count`` are known on opening.  A ``.fjlv`` file is checked
-    against its header at once and then streams from the open file through
-    one reused buffer, so memory is O(block).  A ``.csv`` file is parsed
-    whole (its shape is known only then) and handed out in blocks.  Use it
-    as a context manager, which closes the file.
+    against its header at once and then read by position
+    (:meth:`read_rows`), so memory is what the caller's buffers hold and
+    several threads may read at once.  A ``.csv`` file is parsed whole (its
+    shape is known only then) and copied out.  Use it as a context manager,
+    which closes the file.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._fh = None
+        self._fd = None
         if self.path.suffix != ".fjlv":
             self._vectors = read_vectors(self.path)
             self.count, self.d = self._vectors.shape
             return
-        self._fh = open(self.path, "rb")
+        self._fd = os.open(self.path, os.O_RDONLY)
         try:
-            size = os.fstat(self._fh.fileno()).st_size
-            self.d, self.count = _parse_header(self.path, self._fh.read(_HEADER.size), size)
+            self.d, self.count = _parse_header(self.path, os.pread(self._fd, _HEADER.size, 0),
+                                               os.fstat(self._fd).st_size)
         except BaseException:
-            self._fh.close()
+            os.close(self._fd)
             raise
 
     def __enter__(self) -> "VectorReader":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._fh is not None:
-            self._fh.close()
+        if self._fd is not None:
+            os.close(self._fd)
 
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """Consecutive blocks of at most ``rows`` rows, NaN and infinity rejected.
+    def read_rows(self, first: int, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 ``out[n, d]`` with rows ``first`` to ``first + n - 1`` and return it.
 
-        A ``.fjlv`` block is overwritten by the next one, so use it before
-        asking for the next.
+        A ``.fjlv`` file is read with ``os.preadv`` at the rows' offset, straight
+        into ``out``, and its rows are checked for NaN and infinity, a bad one
+        named by its 1-based row in the file; a ``.csv`` file's rows were
+        checked when it was parsed.
         """
-        if self._fh is None:
-            for lo in range(0, self.count, rows):
-                yield self._vectors[lo : lo + rows]
-            return
-        buf = np.empty((min(rows, self.count), self.d), dtype="<f8")
-        for lo in range(0, self.count, rows):
-            block = buf[: min(rows, self.count - lo)]
-            if self._fh.readinto(memoryview(block).cast("B")) != block.nbytes:
+        if out.ndim != 2 or out.shape[1] != self.d or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise DimensionError(f"out must be a C-contiguous float64 array of shape (rows, {self.d})")
+        if not 0 <= first <= self.count - len(out):
+            raise DimensionError(f"{self.path}: no rows {first + 1} to {first + len(out)} of {self.count}")
+        if self._fd is None:
+            out[...] = self._vectors[first : first + len(out)]
+            return out
+        view, offset = memoryview(out.reshape(-1)).cast("B"), _HEADER.size + first * self.d * 8
+        while view:
+            read = os.preadv(self._fd, [view], offset)
+            if read == 0:
                 raise DimensionMismatchError(f"{self.path}: payload ends before row {self.count}")
-            _check_finite(self.path, block, lo)
-            yield block.astype(np.float64, copy=False)
+            view, offset = view[read:], offset + read
+        if not np.little_endian:
+            out.byteswap(inplace=True)
+        _check_finite(self.path, out, first)
+        return out

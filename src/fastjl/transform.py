@@ -8,8 +8,9 @@ The embedding of a vector ``x`` is ``k^{-1/2} * P @ H @ D @ x`` where
   with probability ``q`` and carry weight ``N / sqrt(q)`` for a standard
   Gaussian ``N``.
 
-Many rows go through one batched kernel, :func:`apply_phd`, which prepares
-``(D, P)`` once and then applies it chunk by chunk; one vector (``embed``,
+Many rows go through one batched kernel, :class:`PhdKernel`, which prepares
+``(D, P)`` once and then applies it chunk by chunk (:func:`apply_phd` is its
+checked entry for a whole set); one vector (``embed``,
 ``embed_with``) takes the kernel's one-row path directly.  ``H_d`` is a
 Kronecker product of Sylvester blocks of size <= 64, each one BLAS product
 (a cache-blocked FWHT after FFHT: Andoni, Indyk, Laarhoven, Razenshteyn and
@@ -52,6 +53,7 @@ __all__ = [
     "sample_signs",
     "apply_signs",
     "sample_projection",
+    "PhdKernel",
     "apply_phd",
     "embed",
     "embed_with",
@@ -389,19 +391,24 @@ def _dense_projection_pays(rows: int, nnz: int, cells: int) -> bool:
     x86, one BLAS thread).  The rule states that in units of one gathered entry.
     When ``rows >= k`` the product also replaces each row's sign, padding and
     FWHT, and the build adds an FWHT of the copy's ``k`` rows (see
-    :class:`_PhdKernel`): ``rows`` FWHTs saved for ``k`` spent, so there the
+    :class:`PhdKernel`): ``rows`` FWHTs saved for ``k`` spent, so there the
     copy pays at least as well as the rule says.
     """
     return cells <= DENSE_PROJECTION_MAX_CELLS and cells * (1 / 20 + rows / 200) + 2.5 * nnz < rows * nnz
 
 
-class _PhdKernel:
-    """``k^{-1/2} P H D`` made ready for ``rows`` rows: the prepare step of :func:`_phd`.
+class PhdKernel:
+    """``k^{-1/2} P H D`` prepared for ``rows`` rows: the one batched kernel of the package.
 
-    It scales the weights by ``k^{-1/2}`` and decides once, on the total row
-    count, how to apply P; a caller that streams its rows in batches (CLI
-    ``embed``) so prepares once, and every batch takes the same path as the
-    whole set would.  There are three paths:
+    Building it is the prepare step: it scales the weights by ``k^{-1/2}`` and
+    decides once, on the total row count, how to apply P.  :meth:`apply_chunk`
+    is the per-chunk step and :meth:`apply` runs it over a whole set.  A caller
+    that streams its rows (CLI ``embed``) prepares once and applies the chunks
+    of ``step`` rows from row 0, so every chunk takes the path, and gives the
+    bits, of one :meth:`apply` on all rows.  :func:`apply_phd` builds one per
+    call and a pairwise trial one per sample.  The arrays are those of a
+    :class:`SignDiagonal` and a :class:`SparseProjection`, taken as checked.
+    There are three paths:
 
     * ``rows >= k`` rows that pay for a dense copy of P fold the whole map
       into one ``k x d`` matrix ``M = k^{-1/2} P H D``: the copy's ``k`` rows
@@ -422,7 +429,7 @@ class _PhdKernel:
 
     def __init__(self, signs, indptr, cols, weights, k: int, rows: int, one_shot: bool = False) -> None:
         d = len(signs)
-        self.signs, self.indptr, self.cols = signs, indptr, cols
+        self.signs, self.indptr, self.cols, self.k = signs, indptr, cols, k
         self.weights = weights * k**-0.5
         self.step = max(1, _CHUNK_CELLS // d)
         self.M = self.Pt = None
@@ -439,17 +446,21 @@ class _PhdKernel:
             else:
                 self.Pt = P.T
 
-    def apply(self, X: np.ndarray, Y: np.ndarray, workers: int = 1) -> None:
-        """Write the embeddings of the rows of ``X[n, d_raw]``, ``d_raw <= d``, into ``Y[n, k]``.
+    def apply(self, X: np.ndarray, out: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
+        """The embeddings of the rows of ``X[n, d_raw]``, ``d_raw <= d``, written into ``out[n, k]``.
 
         Rows go in chunks of ``step`` from row 0, on up to ``workers`` threads of
         the process's one pool (:func:`.rng.parallel_map`); chunk boundaries
-        depend on the shapes only, so ``Y`` is the same at every worker count.
+        depend on the shapes only, so the result is the same at every worker count.
         """
+        Y = np.empty((len(X), self.k)) if out is None else out
         step = self.step
-        parallel_map(lambda lo: self._chunk(X[lo : lo + step], Y[lo : lo + step]), range(0, len(X), step), workers)
+        parallel_map(lambda lo: self.apply_chunk(X[lo : lo + step], Y[lo : lo + step]),
+                     range(0, len(X), step), workers)
+        return Y
 
-    def _chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
+    def apply_chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
+        """Write the embeddings of the rows of one chunk ``X[n, d_raw]``, ``n <= step``, into ``Y[n, k]``."""
         d_raw = X.shape[1]
         if self.M is not None:  # padded cells are zero, so the padded columns of M drop out
             np.matmul(X, self.M[:, :d_raw].T, out=Y)
@@ -466,17 +477,6 @@ class _PhdKernel:
                 y[...] = _project_core(self.indptr, self.cols, self.weights, _fwht_last_axis(u))
 
 
-def _phd(X, signs, indptr, cols, weights, k: int, workers: int = 1) -> np.ndarray:
-    """The kernel behind :func:`apply_phd` and the trial loops; arguments are already checked.
-
-    A prepare step (:class:`_PhdKernel`) and an apply step over all rows of ``X``.
-    """
-    kernel = _PhdKernel(signs, indptr, cols, weights, k, len(X), one_shot=True)
-    Y = np.empty((len(X), k))
-    kernel.apply(X, Y, workers)
-    return Y
-
-
 def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers: int = 1) -> np.ndarray:
     """The embeddings ``k^{-1/2} P H D x`` of the rows ``x`` of ``X[n, d]``, as ``Y[n, k]``.
 
@@ -488,7 +488,7 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     the same prepared kernel gets the bits of one call on all rows.  It then
     applies the rows in fixed chunks of about 2 MB, spread over ``workers``
     threads of the process's one pool, each keeping its chunk scratch (see
-    :class:`_PhdKernel`).  The output is bit-identical at every worker count.
+    :class:`PhdKernel`).  The output is bit-identical at every worker count.
     NaN or infinity in ``X`` raises :class:`ParameterError`.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
@@ -497,7 +497,8 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
         raise ParameterError(f"X must have dtype float64, got {X.dtype}")
     check_finite("X", X)
     check_size("workers", workers, (1, MAX_WORKERS))
-    return _phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers)
+    kernel = PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, len(X), one_shot=True)
+    return kernel.apply(X, workers=workers)
 
 
 def embed(x: np.ndarray, params: JlParams) -> np.ndarray:

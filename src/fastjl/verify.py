@@ -38,6 +38,7 @@ from .sparsity import choose_k
 from .transform import (
     JlParams,
     NormCriterion,
+    PhdKernel,
     _CHUNK_CELLS,
     _ThreadScratch,
     _draw_projection_arrays,
@@ -45,7 +46,6 @@ from .transform import (
     _fwht_last_axis,
     _gap_batch,
     _geometric_positions,
-    _phd,
     is_power_of_two,
 )
 
@@ -316,18 +316,19 @@ class BoundSpec:
                 bad.append(f"c1 >= 1 violated (c1={c1})")
             if not (c2 > 0.0 and c1 >= 1.0 / c2):
                 bad.append(f"c1 >= 1/c2 violated (c1={c1}, c2={c2})")
+            eps_max = 1.0 / (4.0 * math.e * c1) if c1 > 0.0 else math.nan
             # ambiguous grouping in the source; the stricter reading 1/(4 e c1) is enforced
-            if not 0.0 < eps <= 1.0 / (4.0 * math.e * c1):
-                bad.append(f"eps <= 1/(4 e c1) violated (eps={eps}, max={1.0 / (4.0 * math.e * c1):.6g})")
+            if not 0.0 < eps <= eps_max:
+                bad.append(f"eps <= 1/(4 e c1) violated (eps={eps}, max={eps_max:.6g})")
             if not abs(q - c1 * eps) <= 1e-9 * max(q, c1 * eps):
                 bad.append(f"q = c1 eps violated (q={q}, c1 eps={c1 * eps})")
-            k_target = c1 * eps**-2 * math.log(n)
-            if not (k_target > 0 and abs(k - k_target) <= 0.05 * k_target):
-                bad.append(f"k = c1 eps^-2 ln n violated (k={k}, target={k_target:.6g})")
-            if not t >= SUM_ZSQ_ALT_T_FACTOR * c1**3 * math.log(n):
-                bad.append(
-                    f"t >= 2 c1^3 e^8 ln n violated (t={t}, min={SUM_ZSQ_ALT_T_FACTOR * c1**3 * math.log(n):.6g})"
-                )
+            if n >= 2 and 0.0 < eps <= eps_max:  # ln n and 1/eps^2 exist; products overflow to inf, not an error
+                k_target = c1 / eps / eps * math.log(n)
+                t_min = SUM_ZSQ_ALT_T_FACTOR * c1 * c1 * c1 * math.log(n)
+                if not (math.isfinite(k_target) and abs(k - k_target) <= 0.05 * k_target):
+                    bad.append(f"k = c1 eps^-2 ln n violated (k={k}, target={k_target:.6g})")
+                if not t >= t_min:
+                    bad.append(f"t >= 2 c1^3 e^8 ln n violated (t={t}, min={t_min:.6g})")
         return tuple(bad)
 
     @property
@@ -496,21 +497,35 @@ _GRAM_MARGIN = 8.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
+# Scratch cells of a block of true pairwise distances (256 KB); at 128 x 200 points
+# every size from 2^12 to 2^16 cells timed alike, within 10% (2-core x86 box).
+_PAIR_CELLS = 1 << 15
+
 
 def _pair_sq_distances(Y: np.ndarray) -> np.ndarray:
     """``||Y[i] - Y[j]||^2`` for the pairs ``i < j`` in ``np.triu_indices`` order.
 
-    Bit-identical to ``((Y[ii] - Y[jj]) ** 2).sum(axis=1)`` (the same
-    differences, squares and per-row reduction), one row block ``Y[i] -
-    Y[i+1:]`` at a time, so scratch memory is O(n * d), not O(n^2 * d).
+    Bit-identical to ``((Y[ii] - Y[jj]) ** 2).sum(axis=1)``: the same
+    squares and last-axis sums, of the differences ``Y[i+1:] - Y[i]``, which
+    are exactly the negated ``Y[i] - Y[i+1:]`` (IEEE rounding is symmetric)
+    and take 0.75x its time.  Whole rows ``i`` go in blocks whose differences
+    fill one scratch of ``max(_PAIR_CELLS, (n - 1) d)`` cells, so memory is
+    O(n * d), not O(n^2 * d), and a block takes one subtraction per row but
+    one square and one sum for all its pairs.
     """
-    n = len(Y)
+    n, d = Y.shape
     out = np.empty(n * (n - 1) // 2)
-    lo = 0
-    for i in range(n - 1):
-        diff = Y[i] - Y[i + 1 :]
-        out[lo : lo + len(diff)] = (diff**2).sum(axis=1)
-        lo += len(diff)
+    scratch = np.empty((max(_PAIR_CELLS // d, n - 1), d))
+    i = lo = 0
+    while i < n - 1:
+        hi = lo
+        while i < n - 1 and hi - lo + n - 1 - i <= len(scratch):
+            np.subtract(Y[i + 1 :], Y[i], out=scratch[hi - lo : hi - lo + n - 1 - i])
+            hi, i = hi + n - 1 - i, i + 1
+        diff = scratch[: hi - lo]
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[lo:hi])
+        lo = hi
     return out
 
 
@@ -608,7 +623,7 @@ def estimate_failure_rate(
     reuses: arrays made afresh per chunk cost about 40 page faults per trial.
     A pairwise trial is a sample, its signs and P drawn from the block's
     stream, and a verdict: embed the points with
-    :func:`fastjl.transform._phd` and take distances from the Gram matrix,
+    :class:`fastjl.transform.PhdKernel` and take distances from the Gram matrix,
     recomputing pairs near a window edge with the direct formula, so every
     verdict is the direct formula's.  Memory is O(chunk) for single vectors
     and O(n^2 + n k) per verdict in flight for n points.  Trials go through
@@ -641,7 +656,8 @@ def estimate_failure_rate(
                 yield _draw_signs(rng, d), *_draw_projection_arrays(rng, k, d, q)
 
         def verdict(sample) -> bool:
-            return _pairwise_trial_fails(_phd(x, *sample, k), ii, jj, true_sq, eps, criterion, flat=flat)
+            emb = PhdKernel(*sample, k, n, one_shot=True).apply(x)
+            return _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion, flat=flat)
 
         blocks = run_trials(params.seed, trials, samples, workers, verdict=verdict)
         return TailEstimate.from_counts(sum(map(sum, blocks)), trials)

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,11 +21,11 @@ from fastjl import (
     sample_signs,
     write_vectors,
 )
-from fastjl import cli
+from fastjl import cli, instances
 from fastjl.cli import RunConfig, execute, main, parse_config
 from fastjl.rng import MAX_WORKERS
 from fastjl.sparsity import q_theorem1
-from fastjl.transform import _CHUNK_CELLS, _phd
+from fastjl.transform import _CHUNK_CELLS, PhdKernel
 
 
 def make_dataset(path, n=6, d=20, seed=0):
@@ -242,13 +244,13 @@ def whole_file_embedding(src, dst, k, q, seed):
     padded = np.zeros((len(raw), d))
     padded[:, : raw.shape[1]] = raw
     diag, proj = sample_signs(d, seed), sample_projection(k, d, q, seed)
-    Y = _phd(raw, diag.signs, proj.indptr, proj.cols, proj.weights, k)
+    Y = PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, len(raw)).apply(raw)
     assert np.abs(Y - apply_phd(padded, diag, proj)).max(initial=0.0) < 1e-12
     write_vectors(dst, Y)
 
 
 class TestStreamedEmbed:
-    """CLI embed reads, embeds and writes a batch of rows at a time."""
+    """CLI embed cuts the kernel chunks into contiguous runs; each worker reads, embeds and writes its own."""
 
     def run(self, src, dst, workers):
         return main(["embed", "--in", str(src), "--out", str(dst), "--q", "0.05", "--k", "32",
@@ -264,30 +266,69 @@ class TestStreamedEmbed:
         assert dst.read_bytes() == ref.read_bytes()
 
     # 1 row takes the gather, the others fold (D, P) into a dense copy of P; 4 * STEP + 3 rows
-    # span more than one batch at both worker counts
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    # are 5 chunks, so 2 and 3 workers each take runs of more than one chunk
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     @pytest.mark.parametrize("d_raw", [1000, 1024])
     @pytest.mark.parametrize("rows", [0, 1, STEP - 1, STEP, STEP + 1, 4 * STEP + 3])
     def test_matches_one_whole_file_call(self, tmp_path, rows, d_raw, workers):
         self.check(tmp_path, rows, d_raw, workers, ".fjlv", ".fjlv")
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
     @pytest.mark.parametrize("src_suffix, dst_suffix", [(".csv", ".fjlv"), (".fjlv", ".csv")])
     def test_format_pairs(self, tmp_path, src_suffix, dst_suffix, workers):
         self.check(tmp_path, 2 * STEP + 5, 1000, workers, src_suffix, dst_suffix)
+
+    def check_rejected(self, tmp_path, capsys, workers, row):
+        src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
+        dst.write_bytes(b"an earlier output")
+        assert self.run(src, dst, workers) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"row {row} " in err[0]
+        assert dst.read_bytes() == b"an earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", "y.fjlv"]
 
     def test_non_finite_row_in_the_last_block(self, tmp_path, capsys):
         rows = 2 * STEP + 10
         X = np.random.default_rng(3).standard_normal((rows, 1000))
         X[-1, 7] = np.nan
-        src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
-        write_vectors(src, X)
-        dst.write_bytes(b"an earlier output")
-        assert self.run(src, dst, "1") == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"row {rows} " in err[0]
-        assert dst.read_bytes() == b"an earlier output"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", "y.fjlv"]
+        write_vectors(tmp_path / "x.fjlv", X)
+        self.check_rejected(tmp_path, capsys, "1", rows)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_non_finite_rows_in_two_runs_report_the_earlier(self, tmp_path, capsys, workers):
+        # 5 chunks: rows 300 and 900 fall in runs 0 and 1 at 2 workers, runs 1 and 2 at 3
+        X = np.random.default_rng(4).standard_normal((4 * STEP + 3, 1000))
+        X[300, 5], X[900, 9] = np.inf, np.nan
+        write_vectors(tmp_path / "x.fjlv", X)
+        self.check_rejected(tmp_path, capsys, workers, 301)
+
+    def test_no_write_after_an_earlier_run_fails(self, tmp_path, capsys, monkeypatch):
+        # run 0 fails on its first chunk only once run 1 is inside a write, which then
+        # takes 0.2 s: that write must land before the output is closed and main returns
+        X = np.random.default_rng(5).standard_normal((4 * STEP + 3, 1000))
+        X[5, 0] = np.nan
+        write_vectors(tmp_path / "x.fjlv", X)
+        writing, writes = threading.Event(), []
+        check_finite, pwrite = instances._check_finite, os.pwrite
+
+        def slow_pwrite(fd, data, offset):
+            if offset > 0:  # a payload write; the header goes first, at offset 0
+                writing.set()
+                time.sleep(0.2)
+                writes.append(time.perf_counter())
+            return pwrite(fd, data, offset)
+
+        def late_check_finite(path, rows, first):
+            if first == 0:
+                assert writing.wait(10)
+            check_finite(path, rows, first)
+
+        monkeypatch.setattr(os, "pwrite", slow_pwrite)
+        monkeypatch.setattr(instances, "_check_finite", late_check_finite)
+        self.check_rejected(tmp_path, capsys, "2", 6)
+        returned = time.perf_counter()
+        time.sleep(0.5)  # a write still running would append its time here
+        assert writes and max(writes) < returned
 
     def test_truncated_payload_rejected_before_any_output(self, tmp_path, capsys, monkeypatch):
         src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
@@ -302,20 +343,21 @@ class TestStreamedEmbed:
 
     def test_traced_memory_does_not_grow_with_the_file(self, tmp_path):
         # tracemalloc sees numpy's buffers; the larger input holds 4x the rows
-        peaks = []
-        for rows in (1000, 4000):
-            src = tmp_path / f"x{rows}.fjlv"
-            X = np.random.default_rng(rows).standard_normal((rows, 1000))
-            write_vectors(src, X)
-            del X
-            tracemalloc.start()
-            try:
-                assert self.run(src, tmp_path / "y.fjlv", "1") == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] < 2 << 20
-        assert peaks[1] < src.stat().st_size / 4
+        for workers in ("1", "2"):
+            peaks = []
+            for rows in (1000, 4000):
+                src = tmp_path / f"x{rows}.fjlv"
+                X = np.random.default_rng(rows).standard_normal((rows, 1000))
+                write_vectors(src, X)
+                del X
+                tracemalloc.start()
+                try:
+                    assert self.run(src, tmp_path / "y.fjlv", workers) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] < 2 << 20
+            assert peaks[1] < src.stat().st_size / 4
 
 
 class TestVerifyUpperCommand:

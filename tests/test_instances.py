@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -218,25 +220,37 @@ class TestBlockIo:
     def test_blocks_match_read_vectors(self, tmp_path, suffix, rows):
         path = tmp_path / f"x{suffix}"
         write_vectors(path, np.random.default_rng(rows).standard_normal((rows, 3)))
+        got = np.full((rows, 3), np.nan)
         with VectorReader(path) as reader:
             assert (reader.d, reader.count) == (3, rows)
-            blocks = [b.copy() for b in reader.blocks(4)]
-        assert [len(b) for b in blocks] == [min(4, rows - lo) for lo in range(0, rows, 4)]
-        assert np.array_equal(np.vstack(blocks), read_vectors(path))
+            for lo in reversed(range(0, rows, 4)):  # by position, in any order
+                reader.read_rows(lo, got[lo : lo + 4])
+        assert np.array_equal(got, read_vectors(path))
 
-    def test_binary_blocks_reuse_one_buffer(self, tmp_path):
+    def test_read_rows_fill_the_callers_buffer(self, tmp_path):
         path = tmp_path / "x.fjlv"
         write_vectors(path, np.arange(12.0).reshape(6, 2))
+        out = np.empty((3, 2))
         with VectorReader(path) as reader:
-            first, second = (b.__array_interface__["data"][0] for b in reader.blocks(3))
-        assert first == second
+            assert reader.read_rows(2, out) is out
+        assert np.array_equal(out, np.arange(4.0, 10.0).reshape(3, 2))
+
+    @pytest.mark.parametrize("first, rows", [(-1, 2), (5, 2), (0, 7)])
+    def test_read_rows_outside_the_file_rejected(self, tmp_path, first, rows):
+        path = tmp_path / "x.fjlv"
+        write_vectors(path, np.ones((6, 2)))
+        with VectorReader(path) as reader:
+            with pytest.raises(DimensionError, match="of 6$"):
+                reader.read_rows(first, np.empty((rows, 2)))
+            with pytest.raises(DimensionError, match="C-contiguous"):
+                reader.read_rows(0, np.empty((2, 4))[:, :2])
 
     def test_no_rows(self, tmp_path):
         path = tmp_path / "x.fjlv"
         write_vectors(path, np.zeros((0, 5)))
         with VectorReader(path) as reader:
             assert (reader.d, reader.count) == (5, 0)
-            assert list(reader.blocks(4)) == []
+            assert reader.read_rows(0, np.empty((0, 5))).shape == (0, 5)
 
     def test_non_finite_row_in_a_later_block_is_named(self, tmp_path):
         data = np.ones((10, 3))
@@ -244,10 +258,9 @@ class TestBlockIo:
         path = tmp_path / "x.fjlv"
         write_vectors(path, data)
         with VectorReader(path) as reader:
-            blocks = reader.blocks(4)
-            next(blocks), next(blocks)
+            reader.read_rows(0, np.empty((8, 3)))
             with pytest.raises(DatasetFormatError, match="row 9 has a non-finite value"):
-                next(blocks)
+                reader.read_rows(7, np.empty((3, 3)))
 
     def test_truncated_payload_is_rejected_on_opening(self, tmp_path):
         path = tmp_path / "x.fjlv"
@@ -264,8 +277,50 @@ class TestBlockIo:
         write_vectors(whole, data)
         with vector_writer(blocks, 3, 7) as write:
             for lo in range(0, 7, 3):
-                write(data[lo : lo + 3])
+                write(lo, data[lo : lo + 3])
         assert blocks.read_bytes() == whole.read_bytes()
+
+    def test_binary_writer_takes_blocks_in_any_order(self, tmp_path):
+        data = np.random.default_rng(1).standard_normal((7, 3))
+        whole, blocks = tmp_path / "a.fjlv", tmp_path / "b.fjlv"
+        write_vectors(whole, data)
+        with vector_writer(blocks, 3, 7) as write:
+            for lo in (6, 0, 3):
+                write(lo, data[lo : lo + 3])
+        assert blocks.read_bytes() == whole.read_bytes()
+
+    def test_binary_writer_takes_blocks_from_many_threads(self, tmp_path):
+        # 8 threads on a 2-core box, switching every microsecond: a lost block
+        # record would fail the writer's row count, a misplaced block the bytes
+        data = np.random.default_rng(2).standard_normal((400, 3))
+        whole, blocks = tmp_path / "a.fjlv", tmp_path / "b.fjlv"
+        write_vectors(whole, data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with vector_writer(blocks, 3, 400) as write:
+                def writer(t):
+                    for lo in range(2 * t, 400, 16):
+                        write(lo, data[lo : lo + 2])
+
+                threads = [threading.Thread(target=writer, args=(t,)) for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert blocks.read_bytes() == whole.read_bytes()
+
+    def test_csv_writer_rejects_a_block_out_of_order(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"earlier")
+        with pytest.raises(DimensionMismatchError, match="row order, got row 4"):
+            with vector_writer(path, 3, 6) as write:
+                write(3, np.ones((3, 3)))
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
     @pytest.mark.parametrize("written", [1, 3])
     def test_writer_row_count_mismatch_leaves_path_unchanged(self, tmp_path, written):
@@ -273,7 +328,18 @@ class TestBlockIo:
         path.write_bytes(b"earlier")
         with pytest.raises(DimensionMismatchError, match="2 declared"):
             with vector_writer(path, 3, 2) as write:
-                write(np.ones((written, 3)))
+                write(0, np.ones((written, 3)))
         assert path.read_bytes() == b"earlier"
         assert [p.name for p in tmp_path.iterdir()] == ["x.fjlv"]
 
+    @pytest.mark.parametrize("starts, count", [((0, 0), 4), ((1, 3), 5), ((0, 3), 5)])
+    def test_writer_gap_or_overlap_leaves_path_unchanged(self, tmp_path, starts, count):
+        # two blocks of 2 rows that overlap, or leave row 1 or row 3 unwritten
+        path = tmp_path / "x.fjlv"
+        path.write_bytes(b"earlier")
+        with pytest.raises(DimensionMismatchError, match=f"4 rows written, {count} declared"):
+            with vector_writer(path, 3, count) as write:
+                for lo in starts:
+                    write(lo, np.ones((2, 3)))
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.fjlv"]

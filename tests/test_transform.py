@@ -26,7 +26,7 @@ from fastjl import transform
 from fastjl.transform import (
     DENSE_PROJECTION_MAX_CELLS,
     _CHUNK_CELLS,
-    _PhdKernel,
+    PhdKernel,
     _dense_projection_pays,
     _fwht_last_axis,
     _gap_batch,
@@ -542,7 +542,7 @@ def _folded_case(d_raw):
 
 
 def _kernel(diag, proj, rows):
-    return _PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, rows)
+    return PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, rows)
 
 
 class TestFoldedKernel:
@@ -562,20 +562,20 @@ class TestFoldedKernel:
     @pytest.mark.parametrize("d_raw", [1000, 1024])
     def test_same_bits_at_every_worker_count(self, d_raw):
         diag, proj, X = _folded_case(d_raw)
-        want = transform._phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers=1)
+        want = _kernel(diag, proj, len(X)).apply(X, workers=1)
         for workers in (2, 3):
-            got = transform._phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, workers=workers)
+            got = _kernel(diag, proj, len(X)).apply(X, workers=workers)
             assert np.array_equal(got, want)
 
     def test_batches_through_one_kernel_match_one_call(self):
-        # CLI embed streams whole chunks through a kernel prepared for the whole file
+        # CLI embed applies whole chunks, in any order, through a kernel prepared for the whole file
         diag, proj, X = _folded_case(1000)
         kernel = _kernel(diag, proj, len(X))
-        batch = 2 * kernel.step
+        step = kernel.step
         Y = np.empty((len(X), proj.k))
-        for lo in range(0, len(X), batch):
-            kernel.apply(X[lo : lo + batch], Y[lo : lo + batch])
-        assert np.array_equal(Y, transform._phd(X, diag.signs, proj.indptr, proj.cols, proj.weights, proj.k))
+        for lo in reversed(range(0, len(X), step)):
+            kernel.apply_chunk(X[lo : lo + step], Y[lo : lo + step])
+        assert np.array_equal(Y, _kernel(diag, proj, len(X)).apply(X))
 
     def test_second_call_copies_neither_matrix(self):
         # a copy of M[:, :d_raw].T would take k * d_raw * 8 = 512,000 bytes, a copy of a chunk 2 MB

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -45,7 +46,7 @@ from fastjl.verify import (
 from fastjl.instances import random_unit_vector
 from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
-from fastjl.transform import _PhdKernel, sample_projection
+from fastjl.transform import PhdKernel, sample_projection
 
 from helpers import simulate_z_statistics, wilson_reference
 
@@ -360,7 +361,7 @@ class TestPairwiseRawWidth:
         padded = np.zeros((40, d))
         padded[:, :200] = points
         proj = sample_projection(k, d, q, 0)
-        kernel = _PhdKernel(np.ones(d), proj.indptr, proj.cols, proj.weights, k, len(points))
+        kernel = PhdKernel(np.ones(d), proj.indptr, proj.cols, proj.weights, k, len(points))
         assert (kernel.M is not None, kernel.Pt is not None) == (folded, not folded)
         monkeypatch.setattr(fastjl_rng, "TRIAL_BLOCK", 16)  # 7 blocks, so 3 workers share them
         counts = set()
@@ -661,6 +662,22 @@ class TestLemmaBounds:
             assert not bad.domain_satisfied
             with pytest.raises(DomainError):
                 lemma_bound(bad)
+
+    # n <= 0 escaped as ValueError (math domain error) and eps = 0 as ZeroDivisionError, from
+    # the targets of k and t; c1 = 0 divided by zero in the eps bound; a tiny eps gave an infinite
+    # k target, which a finite k matched
+    @pytest.mark.parametrize("change, violated", [
+        ({"n": -1.0}, "n >= 2"), ({"n": 0.0}, "n >= 2"), ({"eps": 0.0}, "eps <= 1/(4 e c1)"),
+        ({"c1": 0.0}, "c1 >= 1"), ({"eps": 1e-300, "q": 1e-300}, "k = c1 eps^-2 ln n"),
+    ])
+    def test_sum_zsq_alt_outside_the_log_domain_raises_domain_error(self, change, violated):
+        spec = BoundSpec(Lemma.SUM_ZSQ_ALT, {"m": 100, "q": 0.05, "k": 100, "t": 1e6, "n": 100.0,
+                                             "c1": 1.0, "c2": 1.0, "eps": 0.05, **change})
+        assert any(v.startswith(violated) for v in spec.domain_violations())
+        assert not spec.domain_satisfied
+        for check in (lemma_bound, lambda spec: run_bound_check(spec, trials=10, seed=0)):
+            with pytest.raises(DomainError, match=re.escape(violated)):
+                check(spec)
 
     def test_vacuous_bound_can_exceed_one(self):
         spec = BoundSpec(Lemma.MAX_Z, {"m": 16, "q": 0.05, "k": 8, "alpha": 0.25})

@@ -22,6 +22,7 @@ from .rng import derive_seed
 from .sparsity import q_ailon_chazelle, q_theorem1
 from .transform import (
     embed_with,
+    is_power_of_two,
     sample_dense_matrix,
     sample_projection,
     sample_signs,
@@ -65,6 +66,8 @@ class BenchConfig:
         if self.method not in METHODS:
             raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
         check_size("k", self.k, (1, check_size("d", self.d)))
+        if self.method != METHOD_DENSE and not is_power_of_two(self.d):
+            raise ParameterError(f"{self.method} needs d a power of two, got {self.d}")
 
     def resolve_q(self) -> float:
         if self.method == METHOD_DENSE:

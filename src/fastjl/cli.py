@@ -8,8 +8,10 @@ verify-lemmas analytic bound grids, exact oracles, and premise checks
 verify-lower  the hard-instance witness (an expected-failure demonstration)
 bench         apply-path timings for Dense / FastJL_AC / FastJL_New
 
-Flags override config-file values (``--config``, flat ``key=value`` lines);
-the environment variable ``FASTJL_SEED`` is the fallback seed.  Every
+Flags override config-file values (``--config``, flat ``key=value`` lines
+whose key is a flag's name without its dashes, ``C3``, or the field name that
+reports echo, ``big_c3``); the environment variable ``FASTJL_SEED`` is the
+fallback seed.  Every
 report embeds the fully resolved configuration so a run can be replayed
 exactly.  Exit codes: 0 on success with all verdicts PASS/VACUOUS, 1 when
 any check reports FAIL, 2 on usage or runtime errors.
@@ -23,8 +25,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -49,155 +52,103 @@ _CRITERIA = {"squared": NormCriterion.SQUARED_NORM, "norm": NormCriterion.NORM}
 _REAL = ("(", -math.inf, math.inf, ")")
 
 
+def _flag(flag: str, help_text: str, default=None):
+    """A :class:`RunConfig` field set by ``flag``; the field's annotation is the flag's type."""
+    return field(default=default, metadata={"flag": flag, "help": help_text})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved invocation; echoed into every report."""
+    """Fully resolved invocation; echoed into every report.
+
+    Every field after ``command`` is one flag, declared here once.  Its
+    default is the field's, except the per-command ``trials`` defaults in
+    ``_TRIALS`` and the ``seed`` and ``workers`` that :func:`parse_config`
+    takes from the environment.  The field order is the echo's key order.
+    """
 
     command: str
-    in_path: str | None = None
-    out_path: str | None = None
-    report: str | None = None
-    d: int | None = None
-    k: int | None = None
-    eps: float | None = None
-    delta: float | None = None
-    n: float | None = None
-    q: float | None = None
-    scheduler: str | None = None
-    c_q: float = 1.0
-    c_k: float = 1.0
-    trials: int = 10000
-    q_divisor: float = 16.0
-    criterion: str = "squared"
-    coord_c: float | None = None
-    pairwise: bool = False
-    compare_threshold: bool = False
-    total_mass: bool = False
-    c3: float = 0.1
-    big_c3: float = 2.0
-    methods: str = ",".join(bench_mod.METHODS)
-    reps: int = 9
-    seed: int = 0
-    workers: int = 1
+    in_path: str | None = _flag("--in", "input vector file (.fjlv or .csv); verify-upper: the --pairwise points")
+    out_path: str | None = _flag("--out", "output path: embed's vector file (.fjlv or .csv), bench's CSV")
+    report: str | None = _flag("--report", "JSON-lines report path")
+    d: int | None = _flag("--d", "input dimension (power of two)")
+    k: int | None = _flag("--k", "target dimension (default: derived via c_k)")
+    eps: float | None = _flag("--eps", "distortion parameter")
+    delta: float | None = _flag("--delta", "failure probability (delta mode)")
+    n: float | None = _flag("--n", "number of points (n mode)")
+    q: float | None = _flag("--q", "explicit sparsity rate (conflicts with --scheduler; "
+                                   "verify-lower default: threshold / q-divisor)")
+    scheduler: str | None = _flag("--scheduler", "q scheduler: theorem1 | ac")
+    c_q: float = _flag("--c-q", "multiplier for the scheduled q (verify-lower: inside the lower threshold)", 1.0)
+    c_k: float = _flag("--c-k", "multiplier for the derived k", 1.0)
+    trials: int = _flag("--trials", "Monte Carlo trials (verify-lemmas: per grid point)", 10000)
+    q_divisor: float = _flag("--q-divisor", "divisor applied to the lower threshold, > 0", 16.0)
+    criterion: str = _flag("--criterion", "norm window: squared | norm", "squared")
+    coord_c: float | None = _flag("--coord-c", "also run the coordinate-bound check at this c")
+    pairwise: bool = _flag("--pairwise", "check all pairwise distances of --in", False)
+    compare_threshold: bool = _flag("--compare-threshold", "also run the witness at the undivided threshold rate",
+                                    False)
+    total_mass: bool = _flag("--total-mass", "also run the total-mass deviation statistic (needs delta < 4^-4)",
+                             False)
+    c3: float = _flag("--c3", "assumed chi-square lower-tail constant c3", 0.1)
+    big_c3: float = _flag("--C3", "assumed chi-square lower-tail constant C3", 2.0)
+    methods: str = _flag("--methods", "comma-separated: Dense,FastJL_AC,FastJL_New (aliases dense,ac,new)",
+                         ",".join(bench_mod.METHODS))
+    reps: int = _flag("--reps", "timed repetitions per method", 9)
+    seed: int = _flag("--seed", "master RNG seed (fallback: FASTJL_SEED, then 0)", 0)
+    workers: int = _flag(
+        "--workers",
+        f"worker threads, 1 to {MAX_WORKERS} (default: the CPU count); a unit of work is a verify-lemmas "
+        f"bound-grid point, a contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, one pairwise "
+        f"trial's verdict when the run is one block, or a contiguous run of embed row chunks; bench "
+        f"accepts and echoes it, but times one thread",
+        1,
+    )
 
     def to_dict(self) -> dict:
         """Resolved values of this command's own fields (the replayable echo)."""
-        own = {dest for dest, *_ in _FIELDS[self.command]}
-        return {
-            k: v
-            for k, v in asdict(self).items()
-            if v is not None and (k == "command" or k in own)
-        }
+        own = {f.name for f, _required in _own(self.command)}
+        return {k: v for k, v in asdict(self).items() if v is not None and (k == "command" or k in own)}
 
 
-# (dest, flag, type, default, help); defaults live here so that the
-# flag > config-file > default precedence can be applied uniformly.
-_COMMON = [
-    ("seed", "--seed", int, None, "master RNG seed (fallback: FASTJL_SEED, then 0)"),
-    ("workers", "--workers", int, None,
-     f"worker threads, 1 to {MAX_WORKERS}; a unit of work is a verify-lemmas bound-grid point, a "
-     f"contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, one pairwise trial's verdict "
-     f"when the run is one block, or a contiguous run of embed row chunks"),
-]
-
-_FIELDS: dict[str, list[tuple]] = {
-    "embed": [
-        ("in_path", "--in", str, None, "input vector file (.fjlv or .csv)"),
-        ("out_path", "--out", str, None, "output vector file (.fjlv or .csv)"),
-        ("k", "--k", int, None, "target dimension (default: derived via c_k)"),
-        ("c_k", "--c-k", float, 1.0, "multiplier for the derived k"),
-        ("q", "--q", float, None, "explicit sparsity rate (conflicts with --scheduler)"),
-        ("scheduler", "--scheduler", str, None, "q scheduler: theorem1 | ac"),
-        ("c_q", "--c-q", float, 1.0, "multiplier for the scheduled q"),
-        ("eps", "--eps", float, None, "distortion parameter"),
-        ("n", "--n", float, None, "number of points (n mode)"),
-        ("delta", "--delta", float, None, "failure probability (delta mode)"),
-        *_COMMON,
-    ],
-    "verify-upper": [
-        ("d", "--d", int, None, "input dimension (power of two)"),
-        ("eps", "--eps", float, None, "distortion parameter"),
-        ("k", "--k", int, None, "target dimension (default: derived via c_k)"),
-        ("c_k", "--c-k", float, 1.0, "multiplier for the derived k"),
-        ("q", "--q", float, None, "explicit sparsity rate (conflicts with --scheduler)"),
-        ("scheduler", "--scheduler", str, None, "q scheduler: theorem1 | ac"),
-        ("c_q", "--c-q", float, 1.0, "multiplier for the scheduled q"),
-        ("n", "--n", float, None, "number of points (n mode)"),
-        ("delta", "--delta", float, None, "failure probability (delta mode)"),
-        ("trials", "--trials", int, 10000, "Monte Carlo trials"),
-        ("criterion", "--criterion", str, "squared", "norm window: squared | norm"),
-        ("in_path", "--in", str, None, "point set for pairwise mode"),
-        ("pairwise", "--pairwise", bool, False, "check all pairwise distances of --in"),
-        ("coord_c", "--coord-c", float, None, "also run the coordinate-bound check at this c"),
-        ("report", "--report", str, None, "JSON-lines report path"),
-        *_COMMON,
-    ],
-    "verify-lemmas": [
-        ("trials", "--trials", int, 100000, "Monte Carlo trials per grid point"),
-        ("c3", "--c3", float, 0.1, "assumed chi-square lower-tail constant c3"),
-        ("big_c3", "--C3", float, 2.0, "assumed chi-square lower-tail constant C3"),
-        ("report", "--report", str, None, "JSON-lines report path"),
-        *_COMMON,
-    ],
-    "verify-lower": [
-        ("eps", "--eps", float, None, "distortion parameter"),
-        ("delta", "--delta", float, None, "failure probability"),
-        ("d", "--d", int, None, "input dimension (power of two)"),
-        ("q", "--q", float, None, "explicit witness rate (default: threshold / q-divisor)"),
-        ("q_divisor", "--q-divisor", float, 16.0, "divisor applied to the lower threshold"),
-        ("c_q", "--c-q", float, 1.0, "multiplier inside the lower threshold"),
-        ("trials", "--trials", int, 20000, "Monte Carlo trials"),
-        ("compare_threshold", "--compare-threshold", bool, False,
-         "also run the witness at the undivided threshold rate"),
-        ("total_mass", "--total-mass", bool, False,
-         "also run the total-mass deviation statistic (needs delta < 4^-4)"),
-        ("report", "--report", str, None, "JSON-lines report path"),
-        *_COMMON,
-    ],
-    "bench": [
-        ("methods", "--methods", str, ",".join(bench_mod.METHODS),
-         "comma-separated: Dense,FastJL_AC,FastJL_New (aliases dense,ac,new)"),
-        ("d", "--d", int, None, "input dimension (power of two)"),
-        ("k", "--k", int, None, "target dimension"),
-        ("q", "--q", float, None, "explicit sparsity rate for both FastJL methods"),
-        ("eps", "--eps", float, None, "distortion parameter for the scheduled q"),
-        ("n", "--n", float, None, "number of points for the scheduled q"),
-        ("reps", "--reps", int, 9, "timed repetitions per method"),
-        ("out_path", "--out", str, None, "CSV output path"),
-        _COMMON[0],
-        ("workers", "--workers", int, None, "accepted and echoed, but ignored: bench times one thread"),
-    ],
+# The fields each command takes, in help order; "!" marks a required one.
+_COMMANDS = {
+    "embed": "in_path! out_path! k c_k q scheduler c_q eps n delta seed workers",
+    "verify-upper": "d! eps! k c_k q scheduler c_q n delta trials criterion in_path pairwise coord_c report! "
+                    "seed workers",
+    "verify-lemmas": "trials c3 big_c3 report! seed workers",
+    "verify-lower": "eps! delta! d! q q_divisor c_q trials compare_threshold total_mass report! seed workers",
+    "bench": "methods d! k! q eps n reps out_path! seed workers",
 }
+_TRIALS = {"verify-lemmas": 100000, "verify-lower": 20000}  # verify-upper's is the field's
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
+_FIELD = {f.name: f for f in fields(RunConfig)}
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "embed": ("in_path", "out_path"),
-    "verify-upper": ("d", "eps", "report"),
-    "verify-lemmas": ("report",),
-    "verify-lower": ("eps", "delta", "d", "report"),
-    "bench": ("d", "k", "out_path"),
-}
+
+def _own(command: str) -> list[tuple[Field, bool]]:
+    """``(field, required)`` for each field that ``command`` takes."""
+    return [(_FIELD[name.rstrip("!")], name.endswith("!")) for name in _COMMANDS[command].split()]
+
+
+def _type(f: Field) -> type:
+    return _TYPES[f.type.partition(" ")[0]]  # "float | None" -> float
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fastjl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, specs in _FIELDS.items():
+    for command in _COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", type=str, default=None, help="flat key=value config file")
-        for dest, flag, typ, _default, help_text in specs:
-            if typ is bool:
-                p.add_argument(flag, dest=dest, action="store_const", const=True,
-                               default=None, help=help_text)
-            else:
-                p.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+        for f, _required in _own(command):
+            how = {"action": "store_const", "const": True} if _type(f) is bool else {"type": _type(f)}
+            p.add_argument(f.metadata["flag"], dest=f.name, default=None, help=f.metadata["help"], **how)
     return parser
 
 
-_CONFIG_KEY_ALIASES = {"in": "in_path", "out": "out_path"}
-
-
-def _parse_config_file(path: str, specs: list[tuple]) -> dict:
-    by_key = {dest: typ for dest, _flag, typ, _default, _help in specs}
+def _parse_config_file(path: str, command: str) -> dict:
+    """The file's ``key=value`` lines by field name; a key is a flag without its dashes or the field's name."""
+    by_key = {key: f for f, _required in _own(command) for key in (f.metadata["flag"][2:], f.name)}
     values: dict = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,21 +158,19 @@ def _parse_config_file(path: str, specs: list[tuple]) -> dict:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        key = _CONFIG_KEY_ALIASES.get(key, key)
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in by_key:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        typ = by_key[key]
+        f = by_key[key]
         try:
-            if typ is bool:
+            if _type(f) is bool:
                 if value.lower() not in ("true", "false", "1", "0"):
                     raise ValueError(f"not a boolean: {value!r}")
-                values[key] = value.lower() in ("true", "1")
+                values[f.name] = value.lower() in ("true", "1")
             else:
-                values[key] = typ(value)
+                values[f.name] = _type(f)(value)
         except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            raise ParameterError(f"{path}:{lineno}: bad value for {f.name}: {exc}") from None
     return values
 
 
@@ -229,46 +178,44 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     """Resolve flags, config file, environment, and defaults into a RunConfig."""
     args = _build_parser().parse_args(argv)
     command = args.command
-    specs = _FIELDS[command]
-    file_values = _parse_config_file(args.config, specs) if args.config else {}
+    own = _own(command)
+    file_values = _parse_config_file(args.config, command) if args.config else {}
 
     resolved: dict = {"command": command}
-    for dest, _flag, _typ, default, _help in specs:
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            resolved[dest] = flag_value
-        elif dest in file_values:
-            resolved[dest] = file_values[dest]
-        elif default is not None:
-            resolved[dest] = default
-
-    if "seed" not in resolved:
-        env_seed = os.environ.get("FASTJL_SEED")
+    for f, _required in own:
+        value = getattr(args, f.name)
+        value = file_values.get(f.name) if value is None else value
+        if value is not None:
+            resolved[f.name] = value
+    if command in _TRIALS:
+        resolved.setdefault("trials", _TRIALS[command])
+    env_seed = os.environ.get("FASTJL_SEED")
+    if "seed" not in resolved and env_seed:
         try:
-            resolved["seed"] = int(env_seed) if env_seed else 0
+            resolved["seed"] = int(env_seed)
         except ValueError:
             raise ParameterError(f"FASTJL_SEED must be an integer, got {env_seed!r}") from None
-    if "workers" not in resolved:
-        resolved["workers"] = 1 if command == "bench" else min(os.cpu_count() or 1, MAX_WORKERS)
-    check_real("--workers", resolved["workers"], ("[", 1, MAX_WORKERS, "]"))  # an int already: argparse or int()
-
-    for name in _REQUIRED[command]:
-        if resolved.get(name) is None:
-            flag = next(f for d, f, *_ in specs if d == name)
-            raise ParameterError(f"{command}: missing required parameter {flag}")
-    if resolved.get("q") is not None and resolved.get("scheduler") is not None:
-        raise ParameterError(f"{command}: conflicting options --q and --scheduler")
-    if resolved.get("n") is not None and resolved.get("delta") is not None:
-        raise ParameterError(f"{command}: conflicting options --n and --delta")
-    if resolved.get("scheduler") not in (None, *_SCHEDULERS):
-        raise ParameterError(f"{command}: unknown scheduler {resolved['scheduler']!r}")
-    if resolved.get("criterion") not in (None, *_CRITERIA):
-        raise ParameterError(f"{command}: unknown criterion {resolved['criterion']!r}")
-    for dest, flag, typ, *_ in specs:
-        if typ is float and dest in resolved:
-            check_real(flag, resolved[dest], POSITIVE if dest in ("c3", "big_c3") else _REAL)
-
+    if "workers" not in resolved and command != "bench":
+        resolved["workers"] = min(os.cpu_count() or 1, MAX_WORKERS)
     config = RunConfig(**resolved)
+    check_real("--workers", config.workers, ("[", 1, MAX_WORKERS, "]"))  # an int already: argparse or int()
+
+    for f, required in own:
+        if required and getattr(config, f.name) is None:
+            raise ParameterError(f"{command}: missing required parameter {f.metadata['flag']}")
+    if config.q is not None and config.scheduler is not None:
+        raise ParameterError(f"{command}: conflicting options --q and --scheduler")
+    if config.n is not None and config.delta is not None:
+        raise ParameterError(f"{command}: conflicting options --n and --delta")
+    if config.scheduler not in (None, *_SCHEDULERS):
+        raise ParameterError(f"{command}: unknown scheduler {config.scheduler!r}")
+    if config.criterion not in _CRITERIA:
+        raise ParameterError(f"{command}: unknown criterion {config.criterion!r}")
+    for f, _required in own:
+        value = getattr(config, f.name)
+        if _type(f) is float and value is not None:
+            check_real(f.metadata["flag"], value, POSITIVE if f.name in ("c3", "big_c3", "q_divisor") else _REAL)
+
     _validate_paths(config)
     return config
 
@@ -321,9 +268,9 @@ def _run_embed(config: RunConfig) -> int:
     The chunks are cut into ``min(workers, chunks)`` contiguous runs, one
     ``.csv`` output being one run as its text is only appended.  A run is one
     pool task that reads, checks, embeds and writes its own chunks through its
-    own two buffers.  A run that fails stops the runs after it; the earliest
-    run's error is raised only once every run has returned, so it names the
-    file's first bad row and no run writes to the output after it is closed.
+    own two buffers.  :func:`parallel_map` raises the earliest run's error
+    only once every run has returned, so it names the file's first bad row
+    and no run writes to the output after it is closed.
     """
     with VectorReader(config.in_path) as reader:
         d = 1 << (reader.d - 1).bit_length()  # zero-padded to a power of two inside the kernel
@@ -336,33 +283,40 @@ def _run_embed(config: RunConfig) -> int:
         step, count = kernel.step, reader.count
         chunks = -(-count // step)
         runs = 1 if config.out_path.endswith(".csv") else max(1, min(config.workers, chunks))
-        errors: list[BaseException | None] = [None] * runs
         # made here, so the memory held is that of every run at once, however the runs overlap
         buffers = [(np.empty((min(step, count), reader.d)), np.empty((min(step, count), k))) for _ in range(runs)]
 
         def run(r: int) -> None:
             lo, hi = r * chunks // runs * step, min((r + 1) * chunks // runs * step, count)
             X, Y = buffers[r]
-            try:
-                for first in range(lo, hi, step):
-                    if any(errors[:r]):  # an earlier run failed: its error is the one reported
-                        return
-                    rows = min(step, hi - first)
-                    kernel.apply_chunk(reader.read_rows(first, X[:rows]), Y[:rows])
-                    write(first, Y[:rows])
-            except BaseException as exc:  # raised below, once every run has returned
-                errors[r] = exc
+            for first in range(lo, hi, step):
+                rows = min(step, hi - first)
+                kernel.apply_chunk(reader.read_rows(first, X[:rows]), Y[:rows])
+                write(first, Y[:rows])
 
         with vector_writer(config.out_path, k, count) as write:
             parallel_map(run, range(runs), config.workers)
-            for exc in errors:
-                if exc is not None:
-                    raise exc
     print(
         f"embed: {reader.count} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
         f"seed={config.seed} -> {config.out_path}"
     )
     return 0
+
+
+def _recorder(config: RunConfig) -> Callable[..., dict]:
+    """``record(experiment, params, t0=None, **fields)``: :func:`verify.make_record` for this run.
+
+    The record's ``params`` end with the config echo, and a given ``t0``
+    (a ``perf_counter`` reading) adds the milliseconds since as ``wall_time_ms``.
+    """
+    echo = config.to_dict()
+
+    def record(experiment: str, params: dict, t0: float | None = None, **fields) -> dict:
+        wall_time_ms = None if t0 is None else (time.perf_counter() - t0) * 1e3
+        return verify.make_record(experiment, params={**params, "config": echo}, wall_time_ms=wall_time_ms,
+                                  **fields)
+
+    return record
 
 
 def _run_verify_upper(config: RunConfig) -> int:
@@ -371,8 +325,7 @@ def _run_verify_upper(config: RunConfig) -> int:
     k = _resolve_k(config)
     params = JlParams(d=d, k=k, eps=eps, q=q, seed=derive_seed(config.seed, 0),
                       norm_criterion=_CRITERIA[config.criterion])
-    echo = config.to_dict()
-    records = []
+    record = _recorder(config)
 
     t0 = time.perf_counter()
     if config.pairwise:
@@ -389,16 +342,8 @@ def _run_verify_upper(config: RunConfig) -> int:
         x = random_unit_vector(d, derive_seed(config.seed, 1))
         estimate = verify.estimate_failure_rate(params, x, config.trials, workers=config.workers)
         experiment = "failure_rate"
-    records.append(
-        verify.make_record(
-            experiment,
-            params={"d": d, "k": k, "eps": eps, "q": q, "c_q": config.c_q, "c_k": config.c_k,
-                    "criterion": config.criterion, "config": echo},
-            estimate=estimate,
-            seed=params.seed,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        )
-    )
+    records = [record(experiment, {"d": d, "k": k, "eps": eps, "q": q, "c_q": config.c_q, "c_k": config.c_k,
+                                   "criterion": config.criterion}, t0, estimate=estimate, seed=params.seed)]
 
     if config.coord_c is not None:
         if config.n is None:
@@ -407,15 +352,8 @@ def _run_verify_upper(config: RunConfig) -> int:
         x = random_unit_vector(d, derive_seed(config.seed, 1))
         estimate = verify.coord_exceedance_rate(x, config.coord_c, config.n, config.trials,
                                                 derive_seed(config.seed, 2), workers=config.workers)
-        records.append(
-            verify.make_record(
-                "coord_exceedance",
-                params={"d": d, "threshold_c": config.coord_c, "n": config.n, "config": echo},
-                estimate=estimate,
-                seed=derive_seed(config.seed, 2),
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        records.append(record("coord_exceedance", {"d": d, "threshold_c": config.coord_c, "n": config.n}, t0,
+                              estimate=estimate, seed=derive_seed(config.seed, 2)))
 
     _write_jsonl(config.report, records)
     print(f"verify-upper: p_hat={records[0]['p_hat']:.6g} over {config.trials} trials -> {config.report}")
@@ -433,94 +371,52 @@ def _run_verify_lemmas(config: RunConfig) -> int:
     The Monte Carlo checks after the grid split their trial blocks over the
     workers instead.
     """
-    echo = config.to_dict()
+    record = _recorder(config)
 
     def bound_record(point: tuple[int, verify.BoundSpec]) -> dict:
         index, spec = point
         seed = derive_seed(config.seed, 0, index)
         t0 = time.perf_counter()
         check = verify.run_bound_check(spec, config.trials, seed)
-        return verify.make_record(
-            f"lemma_bound:{spec.lemma.value}",
-            params={**{k: float(v) for k, v in spec.params.items()},
-                    "event": spec.event_description(), "config": echo},
-            estimate=check.estimate,
-            bound=check.bound,
-            verdict=check.verdict,
-            seed=seed,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        )
+        return record(f"lemma_bound:{spec.lemma.value}",
+                      {**{k: float(v) for k, v in spec.params.items()}, "event": spec.event_description()}, t0,
+                      estimate=check.estimate, bound=check.bound, verdict=check.verdict, seed=seed)
 
     records = parallel_map(bound_record, list(enumerate(verify.default_bound_grid())), config.workers)
 
     for index, (r, q, alpha) in enumerate(verify.reverse_chernoff_grid()):
         t0 = time.perf_counter()
         check = verify.reverse_chernoff_check(r, q, alpha)
-        records.append(
-            verify.make_record(
-                "reverse_chernoff",
-                params={"r": r, "q": q, "alpha": alpha, "threshold": check.threshold, "config": echo},
-                exact=check.exact,
-                bound=check.bound,
-                verdict=check.verdict,
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        records.append(record("reverse_chernoff", {"r": r, "q": q, "alpha": alpha, "threshold": check.threshold},
+                              t0, exact=check.exact, bound=check.bound, verdict=check.verdict))
 
     for x in verify.gaussian_square_grid():
         check = verify.gaussian_square_tail_check(x)
-        records.append(
-            verify.make_record(
-                "gaussian_square_tail",
-                params={"x": x, "config": echo},
-                exact=check.exact, bound=check.bound, verdict=check.verdict,
-            )
-        )
+        records.append(record("gaussian_square_tail", {"x": x},
+                              exact=check.exact, bound=check.bound, verdict=check.verdict))
 
     t0 = time.perf_counter()
     grid = verify.elementary_grid()
     bad = grid[~verify.elementary_ineq_holds(*grid.T)].tolist()
-    records.append(
-        verify.make_record(
-            "elementary_inequality_grid",
-            params={"points": len(grid), "config": echo},
-            verdict=verify.Verdict.PASS if not bad else verify.Verdict.FAIL,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            extra={"violations": bad[:16]},
-        )
-    )
+    records.append(record("elementary_inequality_grid", {"points": len(grid)}, t0,
+                          verdict=verify.Verdict.PASS if not bad else verify.Verdict.FAIL,
+                          extra={"violations": bad[:16]}))
 
     for index, (weights, x) in enumerate([((1.0,), 0.0), ((1.0, 1.0, 1.0, 1.0), 0.0), ((1.0,), 1.0)]):
         seed = derive_seed(config.seed, 1, index)
         t0 = time.perf_counter()
         check = verify.chisq_lower_tail_check(weights, x, config.trials, config.c3,
                                               config.big_c3, seed, workers=config.workers)
-        records.append(
-            verify.make_record(
-                "chisq_lower_tail",
-                params={"weights": list(weights), "x": x, "c3": config.c3, "C3": config.big_c3,
-                        "constants_assumed": True, "config": echo},
-                estimate=check.estimate,
-                bound=check.bound,
-                verdict=check.verdict,
-                seed=seed,
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        records.append(record("chisq_lower_tail", {"weights": list(weights), "x": x, "c3": config.c3,
+                                                   "C3": config.big_c3, "constants_assumed": True}, t0,
+                              estimate=check.estimate, bound=check.bound, verdict=check.verdict, seed=seed))
 
     seed = derive_seed(config.seed, 2)
     t0 = time.perf_counter()
     mgf = verify.mgf_premise_estimate(max(config.trials, 10**6), seed, workers=config.workers)
-    records.append(
-        verify.make_record(
-            "subexponential_mgf_premise",
-            params={"rate": verify.MGF_RATE, "target": mgf.target, "config": echo},
-            verdict=mgf.verdict,
-            seed=seed,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
-            extra={"mean": mgf.mean, "stderr": mgf.stderr, "trials": mgf.trials},
-        )
-    )
+    records.append(record("subexponential_mgf_premise", {"rate": verify.MGF_RATE, "target": mgf.target}, t0,
+                          verdict=mgf.verdict, seed=seed,
+                          extra={"mean": mgf.mean, "stderr": mgf.stderr, "trials": mgf.trials}))
 
     _write_jsonl(config.report, records)
     n_fail = sum(1 for r in records if r.get("verdict") == "FAIL")
@@ -532,21 +428,20 @@ def _run_verify_lower(config: RunConfig) -> int:
     eps, delta, d = config.eps, config.delta, config.d
     threshold_q = q_lower_threshold(eps, delta, d, config.c_q)
     q = config.q if config.q is not None else threshold_q / config.q_divisor
-    echo = config.to_dict()
-    records = []
+    record = _recorder(config)
 
     def witness_record(rate: float, tag: int) -> dict:
         seed = derive_seed(config.seed, tag)
         t0 = time.perf_counter()
         report = verify.lower_bound_witness(eps, delta, d, rate, config.trials, seed,
                                             workers=config.workers)
-        return verify.make_record(
+        return record(
             "lower_bound_witness",
-            params={"eps": eps, "delta": delta, "d": d, "q": rate, "k": report.k,
-                    "m": report.m, "level": report.level, "c_q": config.c_q, "config": echo},
+            {"eps": eps, "delta": delta, "d": d, "q": rate, "k": report.k, "m": report.m,
+             "level": report.level, "c_q": config.c_q},
+            t0,
             estimate=report.estimate,
             seed=seed,
-            wall_time_ms=(time.perf_counter() - t0) * 1e3,
             extra={
                 "mechanism_fraction_dominant": report.mechanism_fraction(dominant=True),
                 "mechanism_fraction_first": report.mechanism_fraction(dominant=False),
@@ -555,7 +450,7 @@ def _run_verify_lower(config: RunConfig) -> int:
             },
         )
 
-    records.append(witness_record(q, 0))
+    records = [witness_record(q, 0)]
     if config.compare_threshold:
         records.append(witness_record(threshold_q, 1))
         gap = records[0]["p_hat"] / max(records[1]["p_hat"], 1e-12)
@@ -566,18 +461,11 @@ def _run_verify_lower(config: RunConfig) -> int:
         t0 = time.perf_counter()
         result = verify.total_mass_statistic(eps, delta, d, q, config.trials, seed,
                                               workers=config.workers)
-        records.append(
-            verify.make_record(
-                "total_mass_deviation",
-                params={"eps": eps, "delta": delta, "d": d, "q": q,
-                        "threshold": result.threshold, "config": echo},
-                estimate=result.estimate,
-                seed=seed,
-                wall_time_ms=(time.perf_counter() - t0) * 1e3,
-                extra={"mean": float(result.samples.mean()),
-                       "variance": float(result.samples.var(ddof=1))},
-            )
-        )
+        records.append(record("total_mass_deviation",
+                              {"eps": eps, "delta": delta, "d": d, "q": q, "threshold": result.threshold}, t0,
+                              estimate=result.estimate, seed=seed,
+                              extra={"mean": float(result.samples.mean()),
+                                     "variance": float(result.samples.var(ddof=1))}))
 
     _write_jsonl(config.report, records)
     print(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import collections
 import functools
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,11 +61,15 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
 
     The pool outlives the call, so its threads keep their per-thread scratch.
     Nested calls, made from inside ``fn``, pass ``workers=1``: a pool thread
-    that waits on its own pool can deadlock.
+    that waits on its own pool can deadlock.  When calls fail, the earliest
+    item's error is raised, and only once every call started has returned.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    return list(_pool(workers).map(fn, items))
+    pool = _pool(workers)
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def _fan_out(verdict: Callable, samples, workers: int) -> list:

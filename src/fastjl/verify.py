@@ -686,7 +686,7 @@ def estimate_failure_rate(
         pos &= d - 1
         cells |= pos  # (trial, column) of each entry
         np.take(u.ravel(), cells, out=vals, mode="clip")
-        var = np.bincount(rows, weights=vals, minlength=t * k)
+        var = np.bincount(rows, weights=vals, minlength=t * k).astype(float, copy=False)  # int64 if n == 0
         var *= rng.standard_normal(t * k) ** 2
         ratio_sq = var.reshape(t, k).sum(axis=1) / (q * k * x_sq)
         return int(np.count_nonzero(_norm_window_fails(ratio_sq, eps, criterion)))

@@ -58,6 +58,13 @@ class TestRunBench:
         with pytest.raises(ParameterError):
             BenchConfig(METHOD_DENSE, d=16, k=32)
 
+    @pytest.mark.parametrize("method", [METHOD_FASTJL_AC, METHOD_FASTJL_NEW])
+    def test_fastjl_d_not_a_power_of_two_rejected(self, method):
+        # the FWHT raised numpy's matmul ValueError mid-run
+        with pytest.raises(ParameterError, match="power of two"):
+            BenchConfig(method, d=12, k=4, q=0.5)
+        assert run_bench([BenchConfig(METHOD_DENSE, d=12, k=4)], reps=3, seed=0)[0].d == 12
+
     def test_reps_minimum(self):
         with pytest.raises(ParameterError):
             run_bench([BenchConfig(METHOD_DENSE, d=16, k=4)], reps=2, seed=0)

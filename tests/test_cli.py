@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastjl import (
     ParameterError,
@@ -64,13 +69,32 @@ class TestParseConfig:
         assert cfg.delta == 0.05       # config fills the rest
         assert cfg.eps == 0.25 and cfg.d == 1024
 
-    def test_config_file_path_aliases(self, tmp_path):
+    @pytest.mark.parametrize("in_key, out_key", [("in", "out"), ("in_path", "out_path")])
+    def test_config_file_path_keys(self, tmp_path, in_key, out_key):
+        # a key is the flag's name without its dashes or the field's (echoed) name
         src = tmp_path / "x.fjlv"
         make_dataset(src)
         conf = tmp_path / "run.conf"
-        conf.write_text(f"in={src}\nout={tmp_path / 'y.fjlv'}\nq=0.1\nk=4\n")
+        conf.write_text(f"{in_key}={src}\n{out_key}={tmp_path / 'y.fjlv'}\nq=0.1\nk=4\n")
         cfg = parse_config(["embed", "--config", str(conf)])
         assert cfg.in_path == str(src) and cfg.out_path == str(tmp_path / "y.fjlv")
+
+    def test_config_key_c3_by_flag_or_field_name(self, tmp_path):
+        # C3= was rejected as an unknown key; only big_c3= worked
+        reports = []
+        for how in ("C3=3.0\n", "big_c3=3.0\n", None):
+            conf, report = tmp_path / "run.conf", tmp_path / f"r{len(reports)}.jsonl"
+            conf.write_text(how or "")
+            flag = [] if how else ["--C3", "3.0"]
+            assert main(["verify-lemmas", "--config", str(conf), *flag, "--trials", "500", "--seed", "2",
+                         "--workers", "1", "--report", str(report)]) == 1
+            records = [json.loads(line) for line in report.read_text().splitlines()]
+            for r in records:
+                r.pop("wall_time_ms", None)
+                assert r["params"]["config"].pop("report") == str(report)
+                assert r["params"]["config"]["big_c3"] == 3.0
+            reports.append(records)
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_unknown_config_key_rejected(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -528,6 +552,24 @@ class TestVerifyLowerCommand:
         records = [json.loads(line) for line in report.read_text().splitlines()]
         assert records[-1]["experiment"] == "total_mass_deviation"
 
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-2"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_q_divisor_not_positive_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, source, value):
+        # --q-divisor 0 raised ZeroDivisionError: a traceback and exit 1
+        def no_work(*args, **kwargs):
+            raise AssertionError("the witness ran")
+
+        monkeypatch.setattr(cli.verify, "lower_bound_witness", no_work)
+        conf, report = tmp_path / "run.conf", tmp_path / "lower.jsonl"
+        conf.write_text(f"q-divisor={value}\n" if source == "config" else "")
+        flag = ["--q-divisor", value] if source == "flag" else []
+        code = main(["verify-lower", "--config", str(conf), "--eps", "0.25", "--delta", "0.05", "--d", "256",
+                     *flag, "--report", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("fastjl: error: --q-divisor must be in (0, inf)")
+        assert not report.exists()
+
 
 class TestBenchCommand:
     def test_csv_output(self, tmp_path):
@@ -552,11 +594,15 @@ class TestBenchCommand:
         assert main(["bench", "--methods", "warp", "--d", "64", "--k", "8",
                      "--q", "0.1", "--out", str(tmp_path / "b.csv")]) == 2
 
-    def test_q_zero_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("d, q, message", [
+        ("64", "0", "q must be in (0, 1]"),
+        ("12", "0.1", "FastJL_AC needs d a power of two, got 12"),  # was numpy's matmul ValueError, exit 1
+    ])
+    def test_bad_q_or_d_exits_2(self, tmp_path, capsys, d, q, message):
         out = tmp_path / "b.csv"
-        assert main(["bench", "--d", "64", "--k", "8", "--q", "0", "--reps", "3", "--out", str(out)]) == 2
+        assert main(["bench", "--d", d, "--k", "8", "--q", q, "--reps", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "q must be in (0, 1]" in err[0]
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and message in err[0]
         assert not out.exists()
 
     def test_parallel_apply_flag_is_gone(self, tmp_path, capsys):
@@ -571,6 +617,146 @@ class TestBenchCommand:
                      "--out", str(tmp_path / "b.csv")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fastjl: error:") and "parallel_apply" in err[0]
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(sub.choices)
+
+
+def _report_digest(path: Path) -> str:
+    """sha256 of a report, or a bench CSV, in its own key order, without what differs between runs.
+
+    Gone are ``wall_time_ms``, the echoed paths and bench's two time columns.
+    """
+    lines = []
+    for line in path.read_text().splitlines():
+        if line.startswith("# "):
+            lines.append(json.dumps(json.loads(line[2:]) | {"out_path": "<out>"}))
+        elif line.startswith("{"):
+            record = json.loads(line)
+            record.pop("wall_time_ms", None)
+            echo = record["params"]["config"]
+            for key in ("in_path", "report"):
+                if key in echo:
+                    echo[key] = f"<{key}>"
+            lines.append(json.dumps(record))
+        else:
+            lines.append(",".join(line.split(",")[:6]))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+class TestContract:
+    """The flags each command takes and what a small fixed-seed run writes, as before the flag table."""
+
+    OPTIONS = {
+        "embed": "--c-k --c-q --config --delta --eps --help --in --k --n --out --q --scheduler --seed --workers -h",
+        "verify-upper": "--c-k --c-q --config --coord-c --criterion --d --delta --eps --help --in --k --n "
+                        "--pairwise --q --report --scheduler --seed --trials --workers -h",
+        "verify-lemmas": "--C3 --c3 --config --help --report --seed --trials --workers -h",
+        "verify-lower": "--c-q --compare-threshold --config --d --delta --eps --help --q --q-divisor --report "
+                        "--seed --total-mass --trials --workers -h",
+        "bench": "--config --d --eps --help --k --methods --n --out --q --reps --seed --workers -h",
+    }
+
+    def test_option_strings(self):
+        got = {name: " ".join(sorted(o for a in p._actions for o in a.option_strings))
+               for name, p in _subparsers().items()}
+        assert got == self.OPTIONS
+
+    # (argv, exit code, digest): sha256 of the .fjlv bytes, else _report_digest
+    RUNS = {
+        "embed": (["embed", "--in", "{csv}", "--out", "{out}.fjlv", "--eps", "0.25", "--n", "1000", "--scheduler",
+                   "theorem1", "--c-q", "2", "--k", "8", "--seed", "3", "--workers", "2"], 0, "c53d486d8daf6049"),
+        "verify-upper": (["verify-upper", "--d", "64", "--eps", "0.3", "--n", "100", "--scheduler", "ac", "--c-k",
+                          "0.5", "--criterion", "norm", "--trials", "300", "--coord-c", "2.0", "--seed", "8",
+                          "--workers", "2", "--report", "{out}.jsonl"], 0, "93e2a1871cd8401d"),
+        "verify-upper-pairwise": (["verify-upper", "--d", "32", "--eps", "0.9", "--k", "16", "--q", "0.5",
+                                   "--delta", "0.1", "--trials", "100", "--pairwise", "--in", "{fjlv}", "--seed",
+                                   "8", "--workers", "2", "--report", "{out}.jsonl"], 0, "2c59196383691945"),
+        "verify-lemmas": (["verify-lemmas", "--trials", "1000", "--c3", "0.2", "--C3", "3", "--seed", "1",
+                           "--workers", "2", "--report", "{out}.jsonl"], 1, "ad74273547f374f0"),
+        "verify-lower": (["verify-lower", "--eps", "0.25", "--delta", "0.001", "--d", "256", "--q-divisor", "8",
+                          "--c-q", "1.5", "--trials", "500", "--compare-threshold", "--total-mass", "--seed", "2",
+                          "--workers", "2", "--report", "{out}.jsonl"], 0, "92f6973a76c9fb30"),
+        "bench": (["bench", "--methods", "dense,new", "--d", "64", "--k", "8", "--eps", "0.3", "--n", "100",
+                   "--reps", "3", "--seed", "4", "--out", "{out}.csv"], 0, "a3bdf37cfe970e84"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_output_is_pinned(self, tmp_path, name):
+        argv, code, digest = self.RUNS[name]
+        rng = np.random.default_rng(7)
+        write_vectors(tmp_path / "x.csv", rng.standard_normal((5, 20)))
+        write_vectors(tmp_path / "p.fjlv", rng.standard_normal((6, 30)))
+        argv = [a.format(csv=tmp_path / "x.csv", fjlv=tmp_path / "p.fjlv", out=tmp_path / "out") for a in argv]
+        assert main(argv) == code
+        (out,) = tmp_path.glob("out.*")
+        got = hashlib.sha256(out.read_bytes()).hexdigest()[:16] if out.suffix == ".fjlv" else _report_digest(out)
+        assert got == digest
+
+
+# One tiny valid run per command; the flag under test replaces its value here or is appended.
+FLAG_SWEEP_BASE = {
+    "embed": "--in {dir}/x.fjlv --out {dir}/y.fjlv --scheduler theorem1 --eps 0.5 --n 16",
+    "verify-upper": "--d 32 --eps 0.5 --scheduler theorem1 --n 16 --trials 5 --coord-c 2 --report {dir}/r.jsonl",
+    "verify-lemmas": "--trials 5 --report {dir}/r.jsonl",
+    "verify-lower": "--eps 0.25 --delta 0.05 --d 64 --trials 5 --report {dir}/r.jsonl",
+    "bench": "--d 16 --k 4 --eps 0.5 --n 16 --reps 3 --out {dir}/b.csv",
+}
+FLAG_TYPES = [(command, f.metadata["flag"], cli._type(f)) for command in cli._COMMANDS
+              for f, _required in cli._own(command)]
+INT_FLAGS = [(command, flag) for command, flag, typ in FLAG_TYPES if typ is int]
+FLOAT_FLAGS = [(command, flag) for command, flag, typ in FLAG_TYPES if typ is float]
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep")
+    make_dataset(path / "x.fjlv", n=5, d=20)
+    return path
+
+
+def check_flag_value(sweep_dir, command, flag, value):
+    """Run ``command`` with ``flag value``: exit 0 or 1, or exit 2 with one ``fastjl: error:`` line."""
+    argv = f"{FLAG_SWEEP_BASE[command]} --seed 1 --workers 1".format(dir=sweep_dir).split()
+    argv = argv[: argv.index(flag)] + argv[argv.index(flag) + 2 :] if flag in argv else argv
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, *argv, f"{flag}={value}"])  # "--q -1" would read -1 as an option
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1) or (code == 2 and len(lines) == 1 and lines[0].startswith("fastjl: error:")), (
+        command, flag, value, code, err.getvalue())
+
+
+class TestNumericFlags:
+    """The CLI half of the input contract: every int and float flag at edge values and drawn ones."""
+
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @example(value="0")
+    @example(value="-1")
+    @example(value="nan")
+    @example(value="inf")
+    @example(value="-inf")
+    @example(value="1e400")
+    @example(value=str(2**70))
+    @example(value="1e-300")
+    @given(value=st.floats().map(repr))
+    def test_float_flag(self, sweep_dir, command, flag, value):
+        check_flag_value(sweep_dir, command, flag, value)
+
+    @pytest.mark.parametrize("command, flag", INT_FLAGS)
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @example(value=0)
+    @example(value=-1)
+    @example(value=2**70)
+    @given(value=st.integers(-3, 16))
+    def test_int_flag(self, sweep_dir, command, flag, value):
+        check_flag_value(sweep_dir, command, flag, str(value))
+
+    def test_every_numeric_flag_is_swept(self):
+        assert len(INT_FLAGS) == 20 and len(FLOAT_FLAGS) == 23
 
 
 class TestReplay:

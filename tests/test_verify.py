@@ -124,6 +124,13 @@ class TestFailureRate:
         )
         assert nm.p_hat < sq.p_hat
 
+    def test_no_entry_drawn_fails_every_trial(self):
+        # at q = 1e-300 no chunk draws an entry of P; bincount of nothing is int64 and its
+        # in-place product with the float normals raised a casting error
+        params = JlParams(d=32, k=12, eps=0.5, q=1e-300, seed=3)
+        est = estimate_failure_rate(params, random_unit_vector(32, 0), 50)
+        assert (est.successes, est.trials) == (50, 50)
+
     def test_zero_vector_rejected(self):
         params = JlParams(d=4, k=2, eps=0.3, q=0.5, seed=0)
         with pytest.raises(ParameterError):
@@ -1158,6 +1165,22 @@ class TestRunTrials:
         assert got == [[int(rng.integers(2**62)) % 7 for _ in range(40)]]
         assert drawers == {threading.get_ident()}
         assert 2 * workers - 1 <= state["most"] <= 2 * workers
+
+    def test_earliest_error_raised_once_every_block_returned(self):
+        # block 0 fails at once while block 1 sleeps; its error must wait for block 1
+        returned = []
+
+        def draw(rng, count):
+            if count == TRIAL_BLOCK:
+                raise ValueError("block 0")
+            time.sleep(0.2)
+            returned.append(time.perf_counter())
+            return count
+
+        with pytest.raises(ValueError, match="block 0"):
+            run_trials(2, TRIAL_BLOCK + 5, draw, workers=2)
+        raised = time.perf_counter()
+        assert len(returned) == 1 and returned[0] < raised
 
     def test_pool_outlives_a_call(self):
         # the process keeps one pool, so a second run's blocks land on the first run's threads

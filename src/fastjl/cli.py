@@ -41,7 +41,7 @@ from .instances import (
     read_vectors,
     vector_writer,
 )
-from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed, parallel_map
+from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed, parallel_map, process_map
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
 from .transform import JlParams, NormCriterion, PhdKernel, sample_projection, sample_signs
 
@@ -98,10 +98,10 @@ class RunConfig:
     seed: int = _flag("--seed", "master RNG seed (fallback: FASTJL_SEED, then 0)", 0)
     workers: int = _flag(
         "--workers",
-        f"worker threads, 1 to {MAX_WORKERS} (default: the CPU count); a unit of work is a verify-lemmas "
-        f"bound-grid point, a contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials, one pairwise "
-        f"trial's verdict when the run is one block, or a contiguous run of embed row chunks; bench "
-        f"accepts and echoes it, but times one thread",
+        f"workers, 1 to {MAX_WORKERS} (default: the CPU count); forked processes for the verify "
+        f"commands, each taking a contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials or a share "
+        f"of the verify-lemmas bound grid; threads for embed's contiguous runs of row chunks and for "
+        f"the trial verdicts of a one-block pairwise run; bench accepts and echoes it, but times one thread",
         1,
     )
 
@@ -363,13 +363,14 @@ def _run_verify_upper(config: RunConfig) -> int:
 def _run_verify_lemmas(config: RunConfig) -> int:
     """Write the lemma report; exit 1 when a check reports FAIL.
 
-    The bound-grid points are the unit of parallel work: they go over the
-    pool, one task each, and every point draws its trials on its own thread
-    (``workers=1``), so each point's ``wall_time_ms`` is its own.  A point's
-    counts depend only on its seed, ``derive_seed(seed, 0, index)``, and the
-    records keep grid order, so the report is the same at every ``--workers``.
-    The Monte Carlo checks after the grid split their trial blocks over the
-    workers instead.
+    The bound-grid points are the unit of parallel work: worker ``r`` of
+    ``w`` takes the points ``r, r + w, ...`` in its own process
+    (:func:`process_map`), so costly neighbours spread out, and draws each
+    point's trials there (``workers=1``), so each point's ``wall_time_ms`` is
+    its own.  A point's counts depend only on its seed,
+    ``derive_seed(seed, 0, index)``, and the records go back into grid order,
+    so the report is the same at every ``--workers``.  The Monte Carlo checks
+    after the grid split their trial blocks over the workers instead.
     """
     record = _recorder(config)
 
@@ -382,7 +383,10 @@ def _run_verify_lemmas(config: RunConfig) -> int:
                       {**{k: float(v) for k, v in spec.params.items()}, "event": spec.event_description()}, t0,
                       estimate=check.estimate, bound=check.bound, verdict=check.verdict, seed=seed)
 
-    records = parallel_map(bound_record, list(enumerate(verify.default_bound_grid())), config.workers)
+    points = list(enumerate(verify.default_bound_grid()))
+    w = min(config.workers, len(points))
+    shares = process_map(lambda r: [bound_record(point) for point in points[r::w]], range(w), config.workers)
+    records = [shares[i % w][i // w] for i in range(len(points))]
 
     for index, (r, q, alpha) in enumerate(verify.reverse_chernoff_grid()):
         t0 = time.perf_counter()

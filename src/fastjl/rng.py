@@ -12,14 +12,19 @@ fixed blocks of ``TRIAL_BLOCK`` trials; block ``b`` of a run draws
 everything from ``substream(seed, b)``.  The block size is a constant of
 the implementation (never a function of the worker count), which makes
 parallel and sequential runs bit-identical; workers take contiguous runs
-of blocks.  A run of one block can still fan out: its trials' verdicts go
-to the pool while the block's thread draws their samples in stream order.
+of blocks, each run in its own process (:func:`process_map`), since the
+trial loops hold the interpreter lock.  A run of one block can still fan
+out: its trials' verdicts go to the thread pool while the block's thread
+draws their samples in stream order.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
+import os
+import pickle
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
@@ -51,15 +56,21 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@functools.lru_cache(maxsize=1)
+_pools: dict[int, ThreadPoolExecutor] = {}  # the process's one thread pool, by its size
+
+
 def _pool(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(max_workers=workers)
+    if workers not in _pools:
+        _pools.clear()
+        _pools[workers] = ThreadPoolExecutor(max_workers=workers)
+    return _pools[workers]
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     """``[fn(item) for item in items]``, inline or on ``workers`` threads of the process's one pool.
 
-    The pool outlives the call, so its threads keep their per-thread scratch.
+    The pool outlives the call, so its threads keep their per-thread scratch,
+    until a forking :func:`process_map` shuts it down.
     Nested calls, made from inside ``fn``, pass ``workers=1``: a pool thread
     that waits on its own pool can deadlock.  When calls fail, the earliest
     item's error is raised, and only once every call started has returned.
@@ -70,6 +81,67 @@ def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
     futures = [pool.submit(fn, item) for item in items]
     wait(futures)
     return [future.result() for future in futures]
+
+
+def process_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]``: item 0 here, each other item in a child made with ``os.fork``.
+
+    For work that holds the interpreter lock.  A child pipes back ``(ok,
+    result or exception)`` pickled and leaves with ``os._exit``.  A fork must
+    find no other thread alive, so the thread pool is shut down first; while
+    another thread lives, or without ``os.fork``, the items go to
+    :func:`parallel_map`.  Every child is reaped on every path: the earliest
+    item's error is raised once all have returned, and Ctrl-C kills them.
+    """
+    forking = workers > 1 and len(items) > 1 and hasattr(os, "fork")
+    while forking and _pools:
+        _pools.popitem()[1].shutdown()
+    if not forking or threading.active_count() > 1:
+        return parallel_map(fn, items, workers)
+    children: list = []  # (pid, read end of its pipe)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # no Ctrl-C between a fork and its append
+    try:
+        for item in items[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(fn, item, read, write, mask)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        outcomes = [(True, fn(items[0]))]
+        for pid, pipe in children:
+            try:
+                outcomes.append(pickle.load(pipe))
+            except EOFError:  # the child died without a word, e.g. killed for its memory
+                outcomes.append((False, ChildProcessError(f"worker process {pid} ended without a result")))
+    except KeyboardInterrupt:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # at once, even inside a long numpy call
+        raise
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pid, pipe in children:
+            pipe.close()  # a child still writing gets EPIPE and leaves
+            os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
+
+
+def _child(fn: Callable, item, read: int, write: int, mask: set) -> None:
+    """In a forked child: restore the signal ``mask``, pipe the pickled outcome of ``fn(item)`` to ``write``, leave."""
+    try:
+        os.close(read)
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a Ctrl-C pending since the fork lands here
+            data = pickle.dumps((True, fn(item)))
+        except BaseException as exc:  # the parent raises it
+            data = pickle.dumps((False, exc))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
 
 
 def _fan_out(verdict: Callable, samples, workers: int) -> list:
@@ -93,16 +165,15 @@ def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object],
 
     ``count`` is ``TRIAL_BLOCK`` except in the last block.  The blocks are cut
     into ``min(workers, blocks)`` contiguous runs of near-equal length, one
-    pool task each, so a worker takes one hand-off per run, not per block; a
-    run of no more blocks than workers has one task per block.  What block
-    ``b`` draws does not depend on ``workers``.
+    :func:`process_map` item each, so ``draw`` must return what pickles.
+    What block ``b`` draws does not depend on ``workers``.
 
     With ``verdict``, ``draw`` yields one sample per trial and block ``b``
     gives the list ``[verdict(s) for s in draw(substream(seed, b), count)]``.
     A run of one block at ``workers > 1`` then fans out inside the block: the
     calling thread draws the samples in trial order, and the verdicts go to
-    the pool (:func:`_fan_out`).  Blocks on pool threads judge their samples
-    inline, since a pool thread that waits on its own pool can deadlock.  So
+    the thread pool (:func:`_fan_out`); a run of more blocks judges each
+    block's samples inline, in the block's process.  So
     ``verdict`` must be a pure function of its sample, and the results are
     the same at every worker count.
     """
@@ -122,4 +193,4 @@ def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object],
         return [draw(substream(seed, b), min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))
                 for b in range(r * blocks // runs, (r + 1) * blocks // runs)]
 
-    return [result for part in parallel_map(run, range(runs), workers) for result in part]
+    return [result for part in process_map(run, range(runs), workers) for result in part]

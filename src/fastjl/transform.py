@@ -493,6 +493,8 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
         raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")
+    if not is_power_of_two(diag.d):
+        raise DimensionError(f"d must be a power of two, got {diag.d}")
     if X.dtype != np.float64:
         raise ParameterError(f"X must have dtype float64, got {X.dtype}")
     check_finite("X", X)
@@ -526,6 +528,8 @@ def embed_with(x: np.ndarray, diag: SignDiagonal, proj: SparseProjection) -> np.
     _check_float_vector(x, "x")
     if x.shape[0] != diag.d or diag.d != proj.d:
         raise DimensionError(f"length mismatch: x has {x.shape[0]}, diagonal d={diag.d}, projection d={proj.d}")
+    if not is_power_of_two(diag.d):
+        raise DimensionError(f"d must be a power of two, got {diag.d}")
     return _project_core(proj.indptr, proj.cols, proj.weights * proj.k**-0.5, _fwht_last_axis(x * diag.signs))
 
 

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library's fast paths, and the z-statistics sampler."""
 
+import json
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +25,26 @@ def wilson_reference(successes: int, trials: int, z: float) -> tuple[float, floa
     center = p + z**2 / (2 * trials)
     half = z * np.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2))
     return (center - half) / denom, (center + half) / denom
+
+
+class CallLog:
+    """Records appended to a file, so that worker processes made with ``fork`` report them too.
+
+    Each record is one short write to a file opened for appending, so the
+    records of concurrent processes never interleave; :meth:`read` returns
+    them in the order they were written.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        path.write_text("")
+
+    def add(self, *values) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps(values) + "\n")
+
+    def read(self) -> list[tuple]:
+        return [tuple(json.loads(line)) for line in self.path.read_text().splitlines()]
 
 
 class ZStatistics(NamedTuple):

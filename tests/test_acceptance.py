@@ -396,3 +396,27 @@ def test_c12_determinism_golden_replay(tmp_path):
 
     ok = ok and bench_rows(b1) == bench_rows(b2)
     assert note("C12 determinism-golden-replay", ok, "verify-lower, verify-upper and bench replays identical modulo timings")
+
+
+@pytest.mark.parametrize("trials", ["4000", "9000"])  # one block, and three blocks that the workers split
+def test_c12_replay_holds_at_every_worker_count(tmp_path, trials):
+    def records(path):
+        out = []
+        for line in path.read_text().splitlines():
+            rec = json.loads(line)
+            rec.pop("wall_time_ms", None)
+            rec["params"]["config"].update(report="<report>", workers="<workers>")
+            out.append(rec)
+        return out
+
+    lower = ["verify-lower", "--eps", "0.25", "--delta", "0.05", "--d", "512",
+             "--trials", trials, "--seed", "12", "--compare-threshold"]
+    upper = ["verify-upper", "--d", "64", "--eps", "0.3", "--k", "16", "--q", "0.25",
+             "--trials", trials, "--seed", "13"]
+    for name, argv in (("lower", lower), ("upper", upper)):
+        runs = []
+        for workers in ("1", "2", "3"):
+            report = tmp_path / f"{name}{workers}.jsonl"
+            assert cli_main(argv + ["--workers", workers, "--report", str(report)]) == 0
+            runs.append(records(report))
+        assert runs[0] == runs[1] == runs[2], f"{name} replay depends on --workers"

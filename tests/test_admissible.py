@@ -27,6 +27,7 @@ from fastjl import (
     apply_phd,
     choose_k,
     dense_embed_reference,
+    embed_with,
     hard_vector,
     q_ailon_chazelle,
     q_lower_threshold,
@@ -145,3 +146,15 @@ def test_inadmissible_number_raises_the_owning_check_error(entry, kwargs, error)
 @pytest.mark.parametrize("entry, kwargs", [row[1:3] for row in ENTRY_POINTS], ids=[row[0] for row in ENTRY_POINTS])
 def test_the_admissible_arguments_of_each_row_are_accepted(entry, kwargs):
     entry(**kwargs)
+
+
+# (D, P) sampled at a d that is not a power of two: sampling takes any d, applying needs the FWHT's
+X12, D12 = random_unit_vector(12, 0), dict(diag=sample_signs(12, 0), proj=sample_projection(4, 12, 0.5, 0))
+
+
+@pytest.mark.parametrize("entry, kwargs", [(embed_with, dict(x=X12, **D12)), (apply_phd, dict(X=X12[None, :], **D12))],
+                         ids=["embed_with", "apply_phd"])
+def test_d_not_a_power_of_two_raises_dimension_error(entry, kwargs):
+    with pytest.raises(FastJlError) as caught:
+        entry(**kwargs)
+    assert type(caught.value) is DimensionError

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastjl import (
+    DomainError,
     ParameterError,
     apply_phd,
     embed_with,
@@ -26,9 +28,9 @@ from fastjl import (
     sample_signs,
     write_vectors,
 )
-from fastjl import cli, instances
+from fastjl import cli, instances, verify
 from fastjl.cli import RunConfig, execute, main, parse_config
-from fastjl.rng import MAX_WORKERS
+from fastjl.rng import MAX_WORKERS, TRIAL_BLOCK
 from fastjl.sparsity import q_theorem1
 from fastjl.transform import _CHUNK_CELLS, PhdKernel
 
@@ -302,14 +304,20 @@ class TestStreamedEmbed:
     def test_format_pairs(self, tmp_path, src_suffix, dst_suffix, workers):
         self.check(tmp_path, 2 * STEP + 5, 1000, workers, src_suffix, dst_suffix)
 
-    def check_rejected(self, tmp_path, capsys, workers, row):
-        src, dst = tmp_path / "x.fjlv", tmp_path / "y.fjlv"
+    # a .csv output is one run, written chunk by chunk in row order
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("rows", [0, 1, STEP, 4 * STEP + 3])
+    def test_csv_output_matches_one_whole_file_call(self, tmp_path, rows, workers):
+        self.check(tmp_path, rows, 1000, workers, ".fjlv", ".csv")
+
+    def check_rejected(self, tmp_path, capsys, workers, row, dst_suffix=".fjlv"):
+        src, dst = tmp_path / "x.fjlv", tmp_path / f"y{dst_suffix}"
         dst.write_bytes(b"an earlier output")
         assert self.run(src, dst, workers) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"row {row} " in err[0]
         assert dst.read_bytes() == b"an earlier output"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", "y.fjlv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", dst.name]
 
     def test_non_finite_row_in_the_last_block(self, tmp_path, capsys):
         rows = 2 * STEP + 10
@@ -325,6 +333,14 @@ class TestStreamedEmbed:
         X[300, 5], X[900, 9] = np.inf, np.nan
         write_vectors(tmp_path / "x.fjlv", X)
         self.check_rejected(tmp_path, capsys, workers, 301)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_non_finite_rows_with_a_csv_output_report_the_earlier(self, tmp_path, capsys, workers):
+        # rows 300 and 900 lie in chunks 1 and 3 of the one .csv run
+        X = np.random.default_rng(4).standard_normal((4 * STEP + 3, 1000))
+        X[300, 5], X[900, 9] = np.inf, np.nan
+        write_vectors(tmp_path / "x.fjlv", X)
+        self.check_rejected(tmp_path, capsys, workers, 301, ".csv")
 
     def test_no_write_after_an_earlier_run_fails(self, tmp_path, capsys, monkeypatch):
         # run 0 fails on its first chunk only once run 1 is inside a write, which then
@@ -814,6 +830,65 @@ class TestReplay:
             return rows
 
         assert rows_without_times(o1) == rows_without_times(o2)
+
+
+class TestWorkerProcesses:
+    """The verify commands run their Monte Carlo blocks in processes made with ``os.fork``."""
+
+    UPPER = ["verify-upper", "--d", "64", "--eps", "0.3", "--k", "16", "--q", "0.25", "--workers", "2"]
+
+    @pytest.mark.parametrize("error, line", [(MemoryError("in a child"), "fastjl: error: out of memory: in a child"),
+                                             (DomainError("in a child"), "fastjl: error: in a child")])
+    def test_error_in_a_child_is_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch, error, line):
+        parent, fwht = os.getpid(), verify._fwht_last_axis
+
+        def fwht_here_only(a):
+            if os.getpid() != parent:
+                raise error
+            return fwht(a)
+
+        monkeypatch.setattr(verify, "_fwht_last_axis", fwht_here_only)
+        report = tmp_path / "r.jsonl"
+        assert main([*self.UPPER, "--trials", str(2 * TRIAL_BLOCK), "--report", str(report)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not report.exists()
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    # SIGINT to the command alone, or to its process group as Ctrl-C at a terminal sends it, once it
+    # has forked its worker: the worker stops at once and is reaped (left alone, it would run for
+    # about 30 s on a 2-core x86 box)
+    @pytest.mark.parametrize("to_group", [False, True], ids=["command", "group"])
+    def test_sigint_leaves_no_child(self, tmp_path, to_group):
+        if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
+            pytest.skip("needs /proc/<pid>/task/<tid>/children to see the worker")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["verify-upper", "--d", "1024", "--eps", "0.25", "--k", "256", "--q", "0.05",
+                "--trials", str(128 * TRIAL_BLOCK), "--workers", "2", "--report", str(tmp_path / "r.jsonl")]
+        proc = subprocess.Popen([sys.executable, "-m", "fastjl.cli", *argv], env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        try:
+            deadline, children = time.monotonic() + 60, []
+            while not children:
+                assert proc.poll() is None and time.monotonic() < deadline, "no worker was forked"
+                time.sleep(0.02)
+                children = [int(pid) for pid in listing.read_text().split()]
+            (os.killpg if to_group else os.kill)(proc.pid, signal.SIGINT)
+            proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode != 0
+        for pid in children:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        with pytest.raises(ProcessLookupError):  # nothing is left in the command's process group
+            os.killpg(proc.pid, 0)
+        assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_no_fastjl_module_loads_scipy():

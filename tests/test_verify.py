@@ -48,7 +48,7 @@ from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
 from fastjl.transform import PhdKernel, sample_projection
 
-from helpers import simulate_z_statistics, wilson_reference
+from helpers import CallLog, simulate_z_statistics, wilson_reference
 
 
 class TestWilson:
@@ -589,7 +589,7 @@ class TestBinomialSampler:
         with pytest.raises(ValueError):
             table[0] = 3
 
-    def test_no_binomial_call(self, monkeypatch):
+    def test_no_binomial_call(self, monkeypatch, tmp_path):
         class NoBinomial:
             def __init__(self, generator):
                 self._generator = generator
@@ -600,15 +600,15 @@ class TestBinomialSampler:
             def binomial(self, *args, **kwargs):
                 raise AssertionError("Generator.binomial was called")
 
-        real, made = fastjl_rng.substream, []
+        real, made = fastjl_rng.substream, CallLog(tmp_path / "made")  # blocks drawn in worker processes log too
 
         def substream(*key):
-            made.append(key)
+            made.add(*key)
             return NoBinomial(real(*key))
 
         monkeypatch.setattr(fastjl_rng, "substream", substream)
         batch = simulate_z_statistics(64, 0.25, 8, 2 * TRIAL_BLOCK + 3, seed=10, workers=2)
-        assert len(made) == 3 and len(batch.sum_z) == 2 * TRIAL_BLOCK + 3
+        assert len(made.read()) == 3 and len(batch.sum_z) == 2 * TRIAL_BLOCK + 3
 
 
 class TestLemmaBounds:
@@ -1113,27 +1113,34 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("blocks", [1, 2, 7])
-    def test_one_stream_per_block_in_block_order(self, monkeypatch, blocks, workers):
-        # the blocks go out as min(workers, blocks) contiguous runs, one task each
-        made, tasks = [], []
-        real_substream, real_map = fastjl_rng.substream, fastjl_rng.parallel_map
+    def test_one_stream_per_block_in_block_order(self, monkeypatch, tmp_path, blocks, workers):
+        # the blocks go out as min(workers, blocks) contiguous runs, one task each, in its own process;
+        # the substreams are logged to a file, which the worker processes append to as well
+        made, tasks = CallLog(tmp_path / "made"), []
+        real_substream, real_map = fastjl_rng.substream, fastjl_rng.process_map
 
         def substream(seed, *key):
-            made.append(key)
+            made.add(os.getpid(), *key)
             return real_substream(seed, *key)
 
-        def parallel_map(fn, items, w):
+        def process_map(fn, items, w):
             tasks.append(len(items))
             return real_map(fn, items, w)
 
         monkeypatch.setattr(fastjl_rng, "substream", substream)
-        monkeypatch.setattr(fastjl_rng, "parallel_map", parallel_map)
+        monkeypatch.setattr(fastjl_rng, "process_map", process_map)
         trials = (blocks - 1) * TRIAL_BLOCK + 5
         got = run_trials(6, trials, lambda rng, count: (count, int(rng.integers(2**62))), workers=workers)
         counts = [TRIAL_BLOCK] * (blocks - 1) + [5]
         assert got == [(count, int(real_substream(6, b).integers(2**62))) for b, count in enumerate(counts)]
-        assert sorted(made) == [(b,) for b in range(blocks)]
+        assert sorted(key for _, key in made.read()) == list(range(blocks))
         assert tasks == [min(workers, blocks)]
+        # each task drew one contiguous run of blocks, in block order, in a process of its own
+        runs = {}
+        for pid, key in made.read():
+            runs.setdefault(pid, []).append(key)
+        assert len(runs) == min(workers, blocks)
+        assert all(run == list(range(run[0], run[0] + len(run))) for run in runs.values())
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_verdicts_in_flight_are_bounded(self, workers):
@@ -1166,35 +1173,116 @@ class TestRunTrials:
         assert drawers == {threading.get_ident()}
         assert 2 * workers - 1 <= state["most"] <= 2 * workers
 
-    def test_earliest_error_raised_once_every_block_returned(self):
-        # block 0 fails at once while block 1 sleeps; its error must wait for block 1
-        returned = []
+    def test_earliest_error_raised_once_every_block_returned(self, tmp_path):
+        # block 0 fails at once while block 1 sleeps; its error must wait for block 1, whose
+        # process logs its return time to a file (CLOCK_MONOTONIC is the same in every process)
+        returned = CallLog(tmp_path / "returned")
 
         def draw(rng, count):
             if count == TRIAL_BLOCK:
                 raise ValueError("block 0")
             time.sleep(0.2)
-            returned.append(time.perf_counter())
+            returned.add(time.monotonic())
             return count
 
         with pytest.raises(ValueError, match="block 0"):
             run_trials(2, TRIAL_BLOCK + 5, draw, workers=2)
-        raised = time.perf_counter()
-        assert len(returned) == 1 and returned[0] < raised
+        raised = time.monotonic()
+        assert len(returned.read()) == 1 and returned.read()[0][0] < raised
 
     def test_pool_outlives_a_call(self):
-        # the process keeps one pool, so a second run's blocks land on the first run's threads
-        # and find the scratch those threads made
+        # the process keeps one pool, so a second call's items land on the first call's threads
+        # and find the scratch those threads made; a forking run shuts it down, and the next
+        # call builds it again
         threads = []
 
-        def draw(rng, count):
+        def task(item):
             threads.append(threading.current_thread())
-            time.sleep(0.01)  # so that both threads of a call take a block
-            return count
+            time.sleep(0.01)  # so that both threads of a call take an item
+            return item
 
         for _ in range(2):
-            assert run_trials(5, 2 * TRIAL_BLOCK + 5, draw, workers=2) == [4096, 4096, 5]
+            assert fastjl_rng.parallel_map(task, [4096, 4096, 5], 2) == [4096, 4096, 5]
         assert len(threads) == 6 and len(set(threads)) <= 2
+        assert run_trials(5, 2 * TRIAL_BLOCK + 5, lambda rng, count: count, workers=2) == [4096, 4096, 5]
+        assert fastjl_rng.parallel_map(task, [4096, 4096, 5], 2) == [4096, 4096, 5]
+        assert len(threads) == 9 and not set(threads[6:]) & set(threads[:6])
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):  # this process has no child, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _block(rng) -> int:
+    return rng.bit_generator.seed_seq.spawn_key[0]
+
+
+class TestWorkerProcesses:
+    """A run of several blocks puts each worker's blocks in a process made with ``os.fork``."""
+
+    def test_each_run_is_a_process_of_its_own(self):
+        pids = run_trials(1, 3 * TRIAL_BLOCK, lambda rng, count: os.getpid(), workers=3)
+        assert pids[0] == os.getpid() and len(set(pids)) == 3
+        _no_child_left()
+
+    # block 0 runs in this process, blocks 1 and 2 in children
+    @pytest.mark.parametrize("failing", [(), (0,), (1,), (2,), (1, 2), (0, 2)])
+    def test_earliest_error_and_no_child_left(self, failing):
+        def draw(rng, count):
+            if _block(rng) in failing:
+                raise DomainError(f"block {_block(rng)}")
+            return count
+
+        if failing:
+            with pytest.raises(DomainError, match=f"^block {failing[0]}$"):
+                run_trials(1, 3 * TRIAL_BLOCK, draw, workers=3)
+        else:
+            assert run_trials(1, 3 * TRIAL_BLOCK, draw, workers=3) == [TRIAL_BLOCK] * 3
+        _no_child_left()
+
+    def test_memory_error_in_a_child_is_raised_here(self):
+        def draw(rng, count):
+            if _block(rng) == 1:
+                raise MemoryError("block 1")
+            return count
+
+        with pytest.raises(MemoryError, match="block 1"):
+            run_trials(1, 2 * TRIAL_BLOCK, draw, workers=2)
+        _no_child_left()
+
+    def test_child_that_dies_without_a_result_is_an_os_error(self):
+        def draw(rng, count):
+            if _block(rng) == 1:
+                os._exit(3)
+            return count
+
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            run_trials(1, 2 * TRIAL_BLOCK, draw, workers=2)
+        _no_child_left()
+
+    def test_run_after_the_thread_pool_started_gives_the_one_worker_counts(self):
+        # the pool's threads are alive when the run starts; it must shut them down before it forks,
+        # or a child could wait forever on a lock that a thread held at the fork
+        code = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from fastjl import JlParams, apply_phd, sample_projection, sample_signs\n"
+            "from fastjl.verify import estimate_failure_rate\n"
+            "X = np.random.default_rng(0).standard_normal((3 * 4096, 64))\n"
+            "apply_phd(X, sample_signs(64, 1), sample_projection(16, 64, 0.25, 1), workers=2)\n"
+            "assert threading.active_count() > 1\n"
+            "params = JlParams(d=64, k=16, q=0.2, eps=0.2, seed=32)\n"
+            "x = np.random.default_rng(7).standard_normal(64)\n"
+            "print(estimate_failure_rate(params, x, 3 * 4096, workers=2).successes)\n"
+        )
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        params = JlParams(d=64, k=16, q=0.2, eps=0.2, seed=32)
+        x = np.random.default_rng(7).standard_normal(64)
+        assert int(done.stdout) == estimate_failure_rate(params, x, 3 * TRIAL_BLOCK, workers=1).successes
 
 
 PINNED_TRIALS = 2 * TRIAL_BLOCK + 5  # three blocks, the last one short
@@ -1257,8 +1345,8 @@ STREAM_PINS = {
 @pytest.mark.parametrize("name", sorted(STREAM_PINS))
 def test_streams_are_pinned(name):
     run, expected = STREAM_PINS[name]
-    assert run(1) == expected
-    assert run(3) == expected
+    for workers in (1, 2, 3):
+        assert run(workers) == expected
 
 
 class TestRecords:

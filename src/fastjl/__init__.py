@@ -36,8 +36,6 @@ from .transform import (
     SignDiagonal,
     SparseProjection,
     apply_phd,
-    apply_signs,
-    dense_embed_reference,
     embed,
     embed_with,
     fwht_inplace,
@@ -61,12 +59,10 @@ __all__ = [
     "SparseProjection",
     "fwht_inplace",
     "sample_signs",
-    "apply_signs",
     "sample_projection",
     "apply_phd",
     "embed",
     "embed_with",
-    "dense_embed_reference",
     "q_theorem1",
     "q_ailon_chazelle",
     "q_lower_threshold",

@@ -99,9 +99,9 @@ class RunConfig:
     workers: int = _flag(
         "--workers",
         f"workers, 1 to {MAX_WORKERS} (default: the CPU count); forked processes for the verify "
-        f"commands, each taking a contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials or a share "
-        f"of the verify-lemmas bound grid; threads for embed's contiguous runs of row chunks and for "
-        f"the trial verdicts of a one-block pairwise run; bench accepts and echoes it, but times one thread",
+        f"commands, each taking a contiguous run of Monte Carlo blocks of {TRIAL_BLOCK} trials ({verify._PAIRWISE_BLOCK} with "
+        f"--pairwise) or a share of the verify-lemmas bound grid; threads for embed's contiguous runs of "
+        f"row chunks; bench accepts and echoes it, but times one thread",
         1,
     )
 
@@ -369,8 +369,9 @@ def _run_verify_lemmas(config: RunConfig) -> int:
     point's trials there (``workers=1``), so each point's ``wall_time_ms`` is
     its own.  A point's counts depend only on its seed,
     ``derive_seed(seed, 0, index)``, and the records go back into grid order,
-    so the report is the same at every ``--workers``.  The Monte Carlo checks
-    after the grid split their trial blocks over the workers instead.
+    so the report is the same at every ``--workers``.  After the grid, the
+    MGF estimate splits its trial blocks over the workers; the chi-square
+    checks are too short to pay for a fork.
     """
     record = _recorder(config)
 
@@ -409,8 +410,8 @@ def _run_verify_lemmas(config: RunConfig) -> int:
     for index, (weights, x) in enumerate([((1.0,), 0.0), ((1.0, 1.0, 1.0, 1.0), 0.0), ((1.0,), 1.0)]):
         seed = derive_seed(config.seed, 1, index)
         t0 = time.perf_counter()
-        check = verify.chisq_lower_tail_check(weights, x, config.trials, config.c3,
-                                              config.big_c3, seed, workers=config.workers)
+        # one worker: a fork costs some 5 ms, and these checks draw for about 1 ms at 10^4 trials
+        check = verify.chisq_lower_tail_check(weights, x, config.trials, config.c3, config.big_c3, seed)
         records.append(record("chisq_lower_tail", {"weights": list(weights), "x": x, "c3": config.c3,
                                                    "C3": config.big_c3, "constants_assumed": True}, t0,
                               estimate=check.estimate, bound=check.bound, verdict=check.verdict, seed=seed))

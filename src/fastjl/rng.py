@@ -8,19 +8,18 @@ consumed, so Monte Carlo work can be split across workers without
 changing any result.
 
 Monte Carlo runs go through :func:`run_trials`, which splits them into
-fixed blocks of ``TRIAL_BLOCK`` trials; block ``b`` of a run draws
-everything from ``substream(seed, b)``.  The block size is a constant of
-the implementation (never a function of the worker count), which makes
+fixed blocks, of ``TRIAL_BLOCK`` trials unless the estimator names a
+shorter one; block ``b`` of a run draws everything from
+``substream(seed, b)``.  The block size is a constant of the
+implementation (never a function of the worker count), which makes
 parallel and sequential runs bit-identical; workers take contiguous runs
 of blocks, each run in its own process (:func:`process_map`), since the
-trial loops hold the interpreter lock.  A run of one block can still fan
-out: its trials' verdicts go to the thread pool while the block's thread
-draws their samples in stream order.
+trial loops hold the interpreter lock.  The thread pool serves only the
+embedding products, which release it.
 """
 
 from __future__ import annotations
 
-import collections
 import os
 import pickle
 import signal
@@ -144,53 +143,21 @@ def _child(fn: Callable, item, read: int, write: int, mask: set) -> None:
         os._exit(0)
 
 
-def _fan_out(verdict: Callable, samples, workers: int) -> list:
-    """``[verdict(s) for s in samples]``: samples drawn here, in order, verdicts on the pool.
-
-    At most ``2 * workers`` verdicts are in flight, so the samples held at
-    once stay few; a sample is drawn only after the oldest verdict beyond
-    that bound has returned.
-    """
-    pool, pending, out = _pool(workers), collections.deque(), []
-    for sample in samples:
-        pending.append(pool.submit(verdict, sample))
-        if len(pending) == 2 * workers:
-            out.append(pending.popleft().result())
-    return out + [future.result() for future in pending]
-
-
 def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object], workers: int = 1,
-               verdict: Callable | None = None) -> list:
-    """``draw(substream(seed, b), count)`` for each block ``b`` of ``TRIAL_BLOCK`` trials, in block order.
+               block: int = TRIAL_BLOCK) -> list:
+    """``draw(substream(seed, b), count)`` for each block ``b`` of ``block`` trials, in block order.
 
-    ``count`` is ``TRIAL_BLOCK`` except in the last block.  The blocks are cut
+    ``count`` is ``block`` except in the last block.  The blocks are cut
     into ``min(workers, blocks)`` contiguous runs of near-equal length, one
     :func:`process_map` item each, so ``draw`` must return what pickles.
     What block ``b`` draws does not depend on ``workers``.
-
-    With ``verdict``, ``draw`` yields one sample per trial and block ``b``
-    gives the list ``[verdict(s) for s in draw(substream(seed, b), count)]``.
-    A run of one block at ``workers > 1`` then fans out inside the block: the
-    calling thread draws the samples in trial order, and the verdicts go to
-    the thread pool (:func:`_fan_out`); a run of more blocks judges each
-    block's samples inline, in the block's process.  So
-    ``verdict`` must be a pure function of its sample, and the results are
-    the same at every worker count.
     """
     check_seed(seed)
-    blocks = -(-check_size("trials", trials) // TRIAL_BLOCK)
+    blocks = -(-check_size("trials", trials) // block)
     runs = max(1, min(check_size("workers", workers, (1, MAX_WORKERS)), blocks))
-    if verdict is not None:
-        samples = draw
-        if runs == 1 and workers > 1:
-            def draw(rng, count):
-                return _fan_out(verdict, samples(rng, count), workers)
-        else:
-            def draw(rng, count):
-                return [verdict(sample) for sample in samples(rng, count)]
 
     def run(r: int) -> list:
-        return [draw(substream(seed, b), min(TRIAL_BLOCK, trials - b * TRIAL_BLOCK))
+        return [draw(substream(seed, b), min(block, trials - b * block))
                 for b in range(r * blocks // runs, (r + 1) * blocks // runs)]
 
     return [result for part in process_map(run, range(runs), workers) for result in part]

@@ -51,14 +51,12 @@ __all__ = [
     "is_power_of_two",
     "fwht_inplace",
     "sample_signs",
-    "apply_signs",
     "sample_projection",
     "PhdKernel",
     "apply_phd",
     "embed",
     "embed_with",
     "sample_dense_matrix",
-    "dense_embed_reference",
 ]
 
 
@@ -232,14 +230,6 @@ def sample_signs(d: int, seed: int) -> SignDiagonal:
     return SignDiagonal(signs=_draw_signs(rng, d), seed=check_seed(seed))
 
 
-def apply_signs(v: np.ndarray, diag: SignDiagonal) -> np.ndarray:
-    """Componentwise product D @ v; preserves the norm exactly."""
-    _check_float_vector(v)
-    if v.shape[0] != diag.d:
-        raise DimensionError(f"length mismatch: v has {v.shape[0]}, diagonal has {diag.d}")
-    return diag.signs * v
-
-
 @dataclass(frozen=True)
 class SparseProjection:
     """Row-compressed k x d matrix of scaled Gaussian entries (the matrix P).
@@ -279,11 +269,6 @@ class SparseProjection:
     @property
     def nnz(self) -> int:
         return int(len(self.cols))
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(column indices, weights) of row ``i``."""
-        lo, hi = int(self.indptr[i]), int(self.indptr[i + 1])
-        return self.cols[lo:hi], self.weights[lo:hi]
 
 
 def _gap_batch(ncells: int, q: float) -> int:
@@ -539,10 +524,3 @@ def sample_dense_matrix(k: int, d: int, seed: int) -> np.ndarray:
     check_size("d", d)
     rng = substream(seed, _DENSE_KEY)
     return rng.standard_normal((k, d))
-
-
-def dense_embed_reference(x: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Classical dense Gaussian embedding k^{-1/2} A x (timing/correctness baseline)."""
-    _check_float_vector(x, "x")
-    A = sample_dense_matrix(k, x.shape[0], seed)
-    return (A @ x) * k**-0.5

@@ -11,9 +11,9 @@ function.
 
 Every Monte Carlo estimator draws its trials through
 :func:`fastjl.rng.run_trials`, in fixed blocks of
-:data:`fastjl.rng.TRIAL_BLOCK`; block ``b`` uses the stream ``(seed, b)``, so
-runs are reproducible and can be distributed over workers without changing
-any count.
+:data:`fastjl.rng.TRIAL_BLOCK` (``_PAIRWISE_BLOCK`` for point sets); block
+``b`` uses the stream ``(seed, b)``, so runs are reproducible and can be
+distributed over workers without changing any count.
 
 Unknown absolute constants (the sub-exponential constant, the chi-square
 lower-tail constants ``c3``/``C3``) are caller-supplied parameters and are
@@ -75,7 +75,6 @@ __all__ = [
     "GaussianSquareCheck",
     "gaussian_square_tail_check",
     "gaussian_square_grid",
-    "elementary_ineq_check",
     "elementary_ineq_holds",
     "elementary_grid",
     "WitnessReport",
@@ -501,6 +500,10 @@ _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 # every size from 2^12 to 2^16 cells timed alike, within 10% (2-core x86 box).
 _PAIR_CELLS = 1 << 15
 
+# Trials per block of a pairwise run: short, so that a run of a few dozen trials
+# still splits over workers; 8 and 16 timed alike at 128 x 200 points (2-core x86 box).
+_PAIRWISE_BLOCK = 16
+
 
 def _pair_sq_distances(Y: np.ndarray) -> np.ndarray:
     """``||Y[i] - Y[j]||^2`` for the pairs ``i < j`` in ``np.triu_indices`` order.
@@ -621,16 +624,15 @@ def estimate_failure_rate(
     arrays of about ``t k d q`` entries (gaps, positions, rows, cells, gathered
     values) live in one scratch per block, so per thread, that every chunk
     reuses: arrays made afresh per chunk cost about 40 page faults per trial.
-    A pairwise trial is a sample, its signs and P drawn from the block's
-    stream, and a verdict: embed the points with
-    :class:`fastjl.transform.PhdKernel` and take distances from the Gram matrix,
-    recomputing pairs near a window edge with the direct formula, so every
-    verdict is the direct formula's.  Memory is O(chunk) for single vectors
-    and O(n^2 + n k) per verdict in flight for n points.  Trials go through
-    :func:`fastjl.rng.run_trials`: block ``b`` of
-    :data:`fastjl.rng.TRIAL_BLOCK` trials draws from ``substream(seed, b)``,
-    and a one-block pairwise run judges its samples on the pool, so counts
-    are the same at every worker count.
+    A pairwise trial draws its signs and P from the block's stream, embeds
+    the points with :class:`fastjl.transform.PhdKernel` and takes distances
+    from the Gram matrix, recomputing pairs near a window edge with the
+    direct formula, so every verdict is the direct formula's.  Memory is
+    O(chunk) for single vectors and O(n^2 + n k) for n points.  Trials go
+    through :func:`fastjl.rng.run_trials`: block ``b`` draws from
+    ``substream(seed, b)``, with :data:`fastjl.rng.TRIAL_BLOCK` trials per
+    block for single vectors and ``_PAIRWISE_BLOCK`` (16) for point sets, so
+    counts are the same at every worker count.
     """
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
@@ -651,16 +653,14 @@ def estimate_failure_rate(
         if np.any(true_sq == 0.0):
             raise ParameterError("pairwise source contains duplicate points (norm criterion undefined)")
 
-        def samples(rng: np.random.Generator, count: int):
+        def draw(rng: np.random.Generator, count: int) -> int:
+            failed = 0
             for _ in range(count):
-                yield _draw_signs(rng, d), *_draw_projection_arrays(rng, k, d, q)
+                kernel = PhdKernel(_draw_signs(rng, d), *_draw_projection_arrays(rng, k, d, q), k, n, one_shot=True)
+                failed += _pairwise_trial_fails(kernel.apply(x), ii, jj, true_sq, eps, criterion, flat=flat)
+            return failed
 
-        def verdict(sample) -> bool:
-            emb = PhdKernel(*sample, k, n, one_shot=True).apply(x)
-            return _pairwise_trial_fails(emb, ii, jj, true_sq, eps, criterion, flat=flat)
-
-        blocks = run_trials(params.seed, trials, samples, workers, verdict=verdict)
-        return TailEstimate.from_counts(sum(map(sum, blocks)), trials)
+        return TailEstimate.from_counts(sum(run_trials(params.seed, trials, draw, workers, _PAIRWISE_BLOCK)), trials)
 
     if x.ndim != 1 or x.shape[0] != d:
         raise DimensionError(f"source vector must have length {d}, got shape {x.shape}")
@@ -884,15 +884,6 @@ def gaussian_square_tail_check(x: float) -> GaussianSquareCheck:
 
 def gaussian_square_grid() -> tuple[float, ...]:
     return (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 10.0)
-
-
-def elementary_ineq_check(x: float, a: float) -> Verdict:
-    """PASS iff (1-x)^a <= 1 - a x / 2 (+1e-12 slack) on the admissible domain."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"need 0 <= x <= 1, got x={x}")
-    if not (a >= 0.0 and a * x <= 1.0):  # NaN too
-        raise DomainError(f"need 0 <= a x <= 1, got a={a}, x={x}")
-    return Verdict.PASS if elementary_ineq_holds(x, a) else Verdict.FAIL
 
 
 def elementary_ineq_holds(x, a):

@@ -3,7 +3,8 @@
 A number is admissible only if it is finite and inside its interval; an
 integer size is also an integer, at most 2**53.  Each row calls one entry
 point of ``fastjl``, ``fastjl.verify`` or ``fastjl.sparsity`` (and
-``fastjl.rng.run_trials``, which they share) with admissible arguments except
+``fastjl.rng.run_trials``, which they share, and the dense baseline's
+``fastjl.transform.sample_dense_matrix``) with admissible arguments except
 one scalar, which takes NaN, +inf, -inf and one out-of-range value; an integer
 size also takes 10**400 and 2.5.  The error is the class of the check that
 owns the parameter.  Result records (``TailEstimate``, the ``*Check`` and
@@ -26,7 +27,6 @@ from fastjl import (
     SparseProjection,
     apply_phd,
     choose_k,
-    dense_embed_reference,
     embed_with,
     hard_vector,
     q_ailon_chazelle,
@@ -37,6 +37,7 @@ from fastjl import (
     sample_signs,
 )
 from fastjl.rng import run_trials
+from fastjl.transform import sample_dense_matrix
 from fastjl.verify import (
     BoundSpec,
     Lemma,
@@ -44,7 +45,6 @@ from fastjl.verify import (
     binomial_tail_exact,
     chisq_lower_tail_check,
     coord_exceedance_rate,
-    elementary_ineq_check,
     estimate_failure_rate,
     gaussian_square_tail_check,
     lower_bound_witness,
@@ -76,7 +76,7 @@ ENTRY_POINTS = [
      {"k": (0, P), "d": (0, P), "q": (0.0, P), "seed": (-1, P)}),
     ("apply_phd", apply_phd, dict(X=X[None, :], diag=sample_signs(16, 1), proj=PROJ, workers=1),
      {"workers": (0, P)}),
-    ("dense_embed_reference", dense_embed_reference, dict(x=X, k=4, seed=1), {"k": (0, P), "seed": (-1, P)}),
+    ("sample_dense_matrix", sample_dense_matrix, dict(k=4, d=16, seed=1), {"k": (0, P), "d": (0, P), "seed": (-1, P)}),
     ("q_theorem1", q_theorem1, dict(eps=0.5, n=100, d=64, c_q=1.0),
      {"eps": (1.0, P), "n": (1, P), "d": (1, P), "c_q": (0.0, P)}),
     ("q_ailon_chazelle", q_ailon_chazelle, dict(n=100, d=64, c_q=1.0),
@@ -106,8 +106,6 @@ ENTRY_POINTS = [
     ("chisq_lower_tail_check", chisq_lower_tail_check, dict(weights=(1.0,), x=0.0, c3=0.1, C3=2.0, **MC),
      {"x": (-1.0, P), "c3": (0.0, P), "C3": (0.0, P), "trials": (0, P), "seed": (-1, P), "workers": (0, P)}),
     ("gaussian_square_tail_check", gaussian_square_tail_check, dict(x=1.0), {"x": (-1.0, P)}),
-    ("elementary_ineq_check", elementary_ineq_check, dict(x=0.5, a=1.0), {"x": (1.5, DOM), "a": (-1.0, DOM)}),
-    ("elementary_ineq_check_at_0", elementary_ineq_check, dict(x=0.0, a=1.0), {"a": (-1.0, DOM)}),
     ("lower_bound_witness", lower_bound_witness, dict(eps=0.25, delta=0.05, d=64, q=0.5, **MC),
      {"eps": (1.0, P), "delta": (0.5, P), "d": (0, D), "q": (0.0, P),
       "trials": (0, P), "seed": (-1, P), "workers": (0, P)}),

@@ -30,9 +30,10 @@ from fastjl import (
 )
 from fastjl import cli, instances, verify
 from fastjl.cli import RunConfig, execute, main, parse_config
-from fastjl.rng import MAX_WORKERS, TRIAL_BLOCK
+from fastjl.rng import MAX_WORKERS, TRIAL_BLOCK, _pools
 from fastjl.sparsity import q_theorem1
 from fastjl.transform import _CHUNK_CELLS, PhdKernel
+from helpers import CallLog
 
 
 def make_dataset(path, n=6, d=20, seed=0):
@@ -456,22 +457,26 @@ class TestVerifyUpperCommand:
         records = [json.loads(line) for line in report.read_text().splitlines()]
         assert [r["experiment"] for r in records] == ["pairwise_failure_rate", "coord_exceedance"]
 
-    # records written when the CLI still padded the points to 256 columns itself;
-    # the sha256 covers the whole record but wall_time_ms and the two echoed paths
+    # records first written when the CLI still padded the points to 256 columns itself, with
+    # the counts of blocks of 16 trials from a dense oracle (scipy's Hadamard matrix times the
+    # densified P); the sha256 covers the whole record but wall_time_ms and the two echoed paths
     @pytest.mark.parametrize(
         "seed,successes,digest",
-        [(11, 85, "2beef4eab86bf411"), (12, 75, "cd80b1883e57eca0"), (13, 81, "6cdd6f07bf505bd0")],
+        [(11, 63, "fd137f05735333a0"), (12, 74, "50f771372a38ebc4"), (13, 78, "73e648c03a32c5b9")],
     )
     def test_pairwise_record_on_raw_200_columns_is_pinned(self, tmp_path, seed, successes, digest):
         src, report = tmp_path / "pts.fjlv", tmp_path / "upper.jsonl"
         write_vectors(src, np.random.default_rng(2024).standard_normal((40, 200)))
-        assert main(["verify-upper", "--d", "256", "--eps", "0.7", "--k", "64", "--q", "0.1",
-                     "--trials", "200", "--pairwise", "--in", str(src), "--report", str(report),
-                     "--seed", str(seed), "--workers", "1"]) == 0
-        (record,) = [json.loads(line) for line in report.read_text().splitlines()]
-        del record["wall_time_ms"], record["params"]["config"]["in_path"], record["params"]["config"]["report"]
-        assert record["successes"] == successes
-        assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16] == digest
+        for workers in (1, 2, 3):  # the same record, but for the echoed --workers
+            assert main(["verify-upper", "--d", "256", "--eps", "0.7", "--k", "64", "--q", "0.1",
+                         "--trials", "200", "--pairwise", "--in", str(src), "--report", str(report),
+                         "--seed", str(seed), "--workers", str(workers)]) == 0
+            (record,) = [json.loads(line) for line in report.read_text().splitlines()]
+            del record["wall_time_ms"], record["params"]["config"]["in_path"], record["params"]["config"]["report"]
+            assert record["params"]["config"]["workers"] == workers
+            record["params"]["config"]["workers"] = 1
+            assert record["successes"] == successes
+            assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("d_raw,d", [(200, 128), (200, 512), (128, 256)])
     def test_pairwise_d_must_be_the_padded_width(self, tmp_path, capsys, d_raw, d):
@@ -689,7 +694,7 @@ class TestContract:
                           "--workers", "2", "--report", "{out}.jsonl"], 0, "93e2a1871cd8401d"),
         "verify-upper-pairwise": (["verify-upper", "--d", "32", "--eps", "0.9", "--k", "16", "--q", "0.5",
                                    "--delta", "0.1", "--trials", "100", "--pairwise", "--in", "{fjlv}", "--seed",
-                                   "8", "--workers", "2", "--report", "{out}.jsonl"], 0, "2c59196383691945"),
+                                   "8", "--workers", "2", "--report", "{out}.jsonl"], 0, "c9d780fbd282c39e"),
         "verify-lemmas": (["verify-lemmas", "--trials", "1000", "--c3", "0.2", "--C3", "3", "--seed", "1",
                            "--workers", "2", "--report", "{out}.jsonl"], 1, "ad74273547f374f0"),
         "verify-lower": (["verify-lower", "--eps", "0.25", "--delta", "0.001", "--d", "256", "--q-divisor", "8",
@@ -837,29 +842,56 @@ class TestWorkerProcesses:
 
     UPPER = ["verify-upper", "--d", "64", "--eps", "0.3", "--k", "16", "--q", "0.25", "--workers", "2"]
 
+    def _argv(self, tmp_path, mode, blocks=2):
+        """``blocks`` blocks of single-vector trials, or of pairwise trials over 16 points."""
+        if mode == "single":
+            return [*self.UPPER, "--trials", str(blocks * TRIAL_BLOCK)]
+        write_vectors(tmp_path / "pts.fjlv", np.random.default_rng(3).standard_normal((16, 64)))
+        return [*self.UPPER, "--trials", str(blocks * verify._PAIRWISE_BLOCK), "--pairwise",
+                "--in", str(tmp_path / "pts.fjlv")]
+
+    @pytest.mark.parametrize("mode", ["single", "pairwise"])
     @pytest.mark.parametrize("error, line", [(MemoryError("in a child"), "fastjl: error: out of memory: in a child"),
                                              (DomainError("in a child"), "fastjl: error: in a child")])
-    def test_error_in_a_child_is_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch, error, line):
-        parent, fwht = os.getpid(), verify._fwht_last_axis
+    def test_error_in_a_child_is_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch, error, line, mode):
+        parent, draw_signs = os.getpid(), verify._draw_signs
 
-        def fwht_here_only(a):
+        def draw_signs_here_only(rng, shape):
             if os.getpid() != parent:
                 raise error
-            return fwht(a)
+            return draw_signs(rng, shape)
 
-        monkeypatch.setattr(verify, "_fwht_last_axis", fwht_here_only)
+        monkeypatch.setattr(verify, "_draw_signs", draw_signs_here_only)
         report = tmp_path / "r.jsonl"
-        assert main([*self.UPPER, "--trials", str(2 * TRIAL_BLOCK), "--report", str(report)]) == 2
+        assert main([*self._argv(tmp_path, mode), "--report", str(report)]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
         assert not report.exists()
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_pairwise_blocks_fork_and_start_no_thread(self, tmp_path, monkeypatch):
+        # 64 trials are 4 blocks of 16: blocks 0-1 are judged here, on this thread, and blocks 2-3
+        # in one child; no verdict goes to the thread pool, so it is not started
+        judged, judge = CallLog(tmp_path / "judged"), verify._pairwise_trial_fails
+
+        def logged(*args, **kwargs):
+            judged.add(os.getpid(), threading.get_ident())
+            return judge(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_pairwise_trial_fails", logged)
+        assert main([*self._argv(tmp_path, "pairwise", blocks=4), "--report", str(tmp_path / "r.jsonl")]) == 0
+        calls = judged.read()
+        here = [tid for pid, tid in calls if pid == os.getpid()]
+        assert len(calls) == 64 and len({pid for pid, _ in calls}) == 2
+        assert len(here) == 32 and set(here) == {threading.get_ident()}
+        assert not _pools and threading.active_count() == 1
+
     # SIGINT to the command alone, or to its process group as Ctrl-C at a terminal sends it, once it
     # has forked its worker: the worker stops at once and is reaped (left alone, it would run for
     # about 30 s on a 2-core x86 box)
+    @pytest.mark.parametrize("mode", ["single", "pairwise"])
     @pytest.mark.parametrize("to_group", [False, True], ids=["command", "group"])
-    def test_sigint_leaves_no_child(self, tmp_path, to_group):
+    def test_sigint_leaves_no_child(self, tmp_path, to_group, mode):
         if not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists():
             pytest.skip("needs /proc/<pid>/task/<tid>/children to see the worker")
         src = str(Path(cli.__file__).parents[1])
@@ -867,6 +899,10 @@ class TestWorkerProcesses:
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         argv = ["verify-upper", "--d", "1024", "--eps", "0.25", "--k", "256", "--q", "0.05",
                 "--trials", str(128 * TRIAL_BLOCK), "--workers", "2", "--report", str(tmp_path / "r.jsonl")]
+        if mode == "pairwise":  # 2^19 trials of 128 points at d = 256, some 1.8 ms each
+            write_vectors(tmp_path / "pts.fjlv", np.random.default_rng(4).standard_normal((128, 200)))
+            argv[1:3] = ["--d", "256"]
+            argv += ["--pairwise", "--in", str(tmp_path / "pts.fjlv")]
         proc = subprocess.Popen([sys.executable, "-m", "fastjl.cli", *argv], env=env, start_new_session=True,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         listing = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")

@@ -14,8 +14,6 @@ from fastjl import (
     ParameterError,
     SignDiagonal,
     apply_phd,
-    apply_signs,
-    dense_embed_reference,
     embed,
     embed_with,
     fwht_inplace,
@@ -31,9 +29,16 @@ from fastjl.transform import (
     _fwht_last_axis,
     _gap_batch,
     _geometric_positions,
+    sample_dense_matrix,
 )
 
 from helpers import dense_hadamard
+
+
+def _row(proj, i):
+    """(column indices, weights) of row ``i`` of the sparse projection ``proj``."""
+    lo, hi = proj.indptr[i], proj.indptr[i + 1]
+    return proj.cols[lo:hi], proj.weights[lo:hi]
 
 
 def fwht_fresh_intermediates(X):
@@ -140,12 +145,25 @@ class TestFwhtDensePath:
 
 class TestSigns:
     def test_identity_signs(self):
-        diag = SignDiagonal(signs=np.array([1.0, 1.0]), seed=0)
-        assert np.array_equal(apply_signs(np.array([3.0, -2.0]), diag), [3.0, -2.0])
+        # with D = I the kernel computes k^-1/2 P H x
+        x = np.random.default_rng(2).standard_normal(16)
+        diag, proj = SignDiagonal(signs=np.ones(16), seed=0), sample_projection(8, 16, 0.5, seed=2)
+        assert np.abs(embed_with(x, diag, proj) - hadamard_rows(x[None, :])[0] @ _dense(proj).T * 8**-0.5).max() < 1e-12
 
     def test_componentwise_product(self):
-        diag = SignDiagonal(signs=np.array([-1.0, 1.0]), seed=0)
-        assert np.array_equal(apply_signs(np.array([3.0, -2.0]), diag), [-3.0, -2.0])
+        # D multiplies x entry by entry: embedding x under D is embedding D x under I
+        x = np.random.default_rng(3).standard_normal((2, 16))
+        diag, proj = sample_signs(16, seed=3), sample_projection(8, 16, 0.5, seed=3)
+        identity = SignDiagonal(signs=np.ones(16), seed=0)
+        assert np.array_equal(apply_phd(x, diag, proj), apply_phd(diag.signs * x, identity, proj))
+        assert np.array_equal(embed_with(x[0], diag, proj), embed_with(diag.signs * x[0], identity, proj))
+
+    def test_length_mismatch(self):
+        proj = sample_projection(2, 8, 0.5, seed=0)
+        with pytest.raises(DimensionError):
+            embed_with(np.zeros(8), sample_signs(4, seed=0), proj)
+        with pytest.raises(DimensionError):
+            apply_phd(np.zeros((2, 8)), sample_signs(4, seed=0), proj)
 
     def test_rejects_non_unit_entries(self):
         with pytest.raises(ParameterError):
@@ -157,7 +175,7 @@ class TestSigns:
             d = 64
             v = rng.standard_normal(d)
             diag = sample_signs(d, seed=seed)
-            assert math.isclose(np.linalg.norm(apply_signs(v, diag)), np.linalg.norm(v), rel_tol=0, abs_tol=1e-12)
+            assert math.isclose(np.linalg.norm(diag.signs * v), np.linalg.norm(v), rel_tol=0, abs_tol=1e-12)
 
     def test_unitary_with_hadamard(self):
         # H D is unitary: 100 random unit vectors for each d
@@ -166,13 +184,9 @@ class TestSigns:
             for seed in range(100):
                 x = rng.standard_normal(d)
                 x /= np.linalg.norm(x)
-                u = apply_signs(x, sample_signs(d, seed=seed))
+                u = sample_signs(d, seed=seed).signs * x
                 fwht_inplace(u)
                 assert abs(np.linalg.norm(u) - 1.0) < 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            apply_signs(np.zeros(3), sample_signs(4, seed=0))
 
     def test_deterministic(self):
         assert np.array_equal(sample_signs(128, seed=9).signs, sample_signs(128, seed=9).signs)
@@ -182,7 +196,7 @@ class TestSampleProjection:
     def test_q_one_fills_every_row(self):
         P = sample_projection(2, 4, 1.0, seed=1)
         for i in range(2):
-            cols, weights = P.row(i)
+            cols, weights = _row(P, i)
             assert cols.tolist() == [0, 1, 2, 3]
             assert np.all(np.isfinite(weights))
 
@@ -220,7 +234,7 @@ class TestSampleProjection:
     def test_columns_strictly_increasing(self):
         P = sample_projection(11, 257 * 4, 0.3, seed=3)
         for i in range(P.k):
-            cols, _ = P.row(i)
+            cols, _ = _row(P, i)
             if len(cols) > 1:
                 assert np.all(np.diff(cols) > 0)
             assert np.all((cols >= 0) & (cols < P.d))
@@ -421,13 +435,18 @@ def hadamard_rows(X):
     return (Ha @ X.reshape(n, a, d // a) @ Hb.T).reshape(n, d)
 
 
-def dense_phd(X, diag, proj):
-    """k^{-1/2} P H D x for each row x of X, with P written out densely."""
+def _dense(proj):
+    """The sparse projection ``proj`` written out as a dense k x d matrix."""
     P = np.zeros((proj.k, proj.d))
     for i in range(proj.k):
-        cols, weights = proj.row(i)
+        cols, weights = _row(proj, i)
         P[i, cols] = weights
-    return hadamard_rows(X * diag.signs) @ P.T * proj.k**-0.5
+    return P
+
+
+def dense_phd(X, diag, proj):
+    """k^{-1/2} P H D x for each row x of X, with P written out densely."""
+    return hadamard_rows(X * diag.signs) @ _dense(proj).T * proj.k**-0.5
 
 
 class TestApplyPhd:
@@ -616,12 +635,8 @@ def test_unfolded_paths_are_pinned(d, k, q, rows, seed, dense, pin):
 
 
 class TestDenseReference:
-    def test_zero_maps_to_zero(self):
-        assert np.array_equal(dense_embed_reference(np.zeros(8), 3, seed=0), np.zeros(3))
-
     def test_deterministic(self):
-        x = np.random.default_rng(3).standard_normal(8)
-        assert np.array_equal(dense_embed_reference(x, 3, seed=5), dense_embed_reference(x, 3, seed=5))
+        assert np.array_equal(sample_dense_matrix(3, 8, seed=5), sample_dense_matrix(3, 8, seed=5))
 
     def test_norm_mean(self):
         # ||output||^2 ~ ||x||^2 chi^2_k / k
@@ -630,7 +645,7 @@ class TestDenseReference:
         k, trials = 8, 20_000
         total = 0.0
         for seed in range(trials):
-            y = dense_embed_reference(x, k, seed=seed)
+            y = sample_dense_matrix(k, 16, seed=seed) @ x * k**-0.5
             total += float(y @ y)
         stderr = math.sqrt(2.0 / k / trials)
         assert abs(total / trials - 1.0) < 4 * stderr

@@ -28,7 +28,6 @@ from fastjl.verify import (
     coord_exceedance_rate,
     default_bound_grid,
     elementary_grid,
-    elementary_ineq_check,
     elementary_ineq_holds,
     estimate_failure_rate,
     gaussian_square_grid,
@@ -46,9 +45,9 @@ from fastjl.verify import (
 from fastjl.instances import random_unit_vector
 from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
-from fastjl.transform import PhdKernel, sample_projection
+from fastjl.transform import PhdKernel, _draw_projection_arrays, _draw_signs, sample_projection
 
-from helpers import CallLog, simulate_z_statistics, wilson_reference
+from helpers import CallLog, dense_hadamard, simulate_z_statistics, wilson_reference
 
 
 class TestWilson:
@@ -226,6 +225,11 @@ class TestFailureRate:
         assert abs(est.p_hat - p_direct) < 4 * sigma
 
 
+def _pairwise_counts(params, points) -> set[int]:
+    """The failure counts of 100 pairwise trials at 1, 2 and 3 workers."""
+    return {estimate_failure_rate(params, points, 100, pairwise=True, workers=w).successes for w in (1, 2, 3)}
+
+
 class TestPairwiseGram:
     @pytest.mark.parametrize("n", [2, 3, 128])
     def test_row_block_distances_match_the_gather(self, n):
@@ -234,34 +238,36 @@ class TestPairwiseGram:
         expected = ((Y[ii] - Y[jj]) ** 2).sum(axis=1)
         assert np.array_equal(verify._pair_sq_distances(Y), expected)
 
-    # success counts of the direct formula ((emb[ii] - emb[jj]) ** 2).sum(axis=1),
-    # recorded before the Gram distances replaced it
+    # success counts of the direct formula ((emb[ii] - emb[jj]) ** 2).sum(axis=1), forced on
+    # every pair below (margin=1e300), over blocks of 16 trials; a dense oracle (scipy's
+    # Hadamard matrix times the densified P) gives the same counts
     @pytest.mark.parametrize(
         "seed,eps,criterion,k,count",
         [
-            (11, 0.5, NormCriterion.NORM, 32, 18),
-            (12, 0.5, NormCriterion.SQUARED_NORM, 64, 95),
-            (13, 0.3, NormCriterion.NORM, 64, 60),
+            (11, 0.5, NormCriterion.NORM, 32, 16),
+            (12, 0.5, NormCriterion.SQUARED_NORM, 64, 98),
+            (13, 0.3, NormCriterion.NORM, 64, 61),
         ],
     )
     def test_counts_match_the_direct_formula(self, monkeypatch, seed, eps, criterion, k, count):
         points = np.random.default_rng(5).standard_normal((40, 64))
         params = JlParams(d=64, k=k, eps=eps, q=0.25, seed=seed, norm_criterion=criterion)
-        assert estimate_failure_rate(params, points, 100, pairwise=True).successes == count
+        assert _pairwise_counts(params, points) == {count}
         # a huge margin makes every pair borderline, so every verdict is recomputed
         forced = functools.partial(verify._pairwise_trial_fails, margin=1e300)
         monkeypatch.setattr(verify, "_pairwise_trial_fails", forced)
-        assert estimate_failure_rate(params, points, 100, pairwise=True).successes == count
+        assert _pairwise_counts(params, points) == {count}
 
+    # counts of blocks of 16 trials, as the dense oracle of the test above gives them
     def test_near_duplicate_points_match_the_direct_formula(self):
         points = np.random.default_rng(5).standard_normal((12, 64))
         points[1] = points[0] + 1e-7
         params = JlParams(d=64, k=64, eps=0.5, q=0.25, seed=4)
-        assert estimate_failure_rate(params, points, 100, pairwise=True).successes == 40
+        assert _pairwise_counts(params, points) == {38}
         # alone, the near pair's Gram distance is mostly rounding error, so the recheck decides
-        for seed, count in ((4, 0), (5, 1)):
+        for seed, count in ((4, 2), (5, 3)):
             params = JlParams(d=64, k=64, eps=0.5, q=0.25, seed=seed)
-            assert estimate_failure_rate(params, points[:2], 100, pairwise=True).successes == count
+            assert _pairwise_counts(params, points[:2]) == {count}
 
     def test_verdict_matches_the_direct_formula_per_trial(self):
         rng = np.random.default_rng(8)
@@ -287,28 +293,39 @@ class TestPairwiseGram:
         assert verify._pairwise_trial_fails(emb, ii, jj, np.ones(1), 0.5, NormCriterion.SQUARED_NORM)
 
 
-class TestPairwiseFanOut:
-    """A one-block pairwise run draws its samples on the calling thread and judges them on the pool."""
+class TestPairwiseBlocks:
+    """A pairwise run goes in blocks of ``_PAIRWISE_BLOCK`` trials, each judged inline in its block's worker."""
 
     POINTS = np.random.default_rng(21).standard_normal((24, 64))
     PARAMS = JlParams(d=64, k=32, eps=0.8, q=0.25, seed=21)
 
-    def test_counts_equal_at_every_worker_count_and_verdicts_spread(self, monkeypatch):
-        real, threads = verify._pairwise_trial_fails, {}
-
-        def recorded(*args, **kwargs):
-            threads[workers].add(threading.get_ident())
-            time.sleep(0.002)  # so that the next verdict finds this thread busy
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "_pairwise_trial_fails", recorded)
-        counts = set()
-        for workers in (1, 2, 3):
-            threads[workers] = set()
-            counts.add(estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True, workers=workers).successes)
+    def test_counts_equal_at_every_worker_count(self):
+        counts = {estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True, workers=workers).successes
+                  for workers in (1, 2, 3)}
         assert len(counts) == 1 and 0 < counts.pop() < 60
-        assert threads[1] == {threading.get_ident()}
-        assert len(threads[2]) > 1 and threading.get_ident() not in threads[2]
+
+    @pytest.mark.parametrize("trials", [15, 16, 17, 40])
+    def test_trial_t_draws_from_the_stream_of_block_t_div_16(self, trials):
+        # a dense oracle: trial t takes its D, then its P, from substream(seed, t // 16), after the
+        # trials before it in its block; H is written out, and distances take the direct formula
+        d, k, q, eps = self.PARAMS.d, self.PARAMS.k, self.PARAMS.q, self.PARAMS.eps
+        x = self.POINTS / 2.0**np.frexp(np.abs(self.POINTS).max())[1]
+        ii, jj = np.triu_indices(len(x), k=1)
+        true_sq = ((x[ii] - x[jj]) ** 2).sum(axis=1)
+        failed = 0
+        for t in range(trials):
+            if t % 16 == 0:
+                rng = substream(self.PARAMS.seed, t // 16)
+            signs = _draw_signs(rng, d)
+            indptr, cols, weights = _draw_projection_arrays(rng, k, d, q)
+            P = np.zeros((k, d))
+            P[np.repeat(np.arange(k), np.diff(indptr)), cols] = weights
+            emb = (x * signs) @ dense_hadamard(d) @ P.T * k**-0.5
+            ratio = ((emb[ii] - emb[jj]) ** 2).sum(axis=1) / true_sq  # PARAMS judge squared norms
+            failed += bool(np.any((ratio <= 1 - eps) | (ratio >= 1 + eps)))
+        assert 0 < failed < trials
+        assert {estimate_failure_rate(self.PARAMS, self.POINTS, trials, pairwise=True, workers=w).successes
+                for w in (1, 2, 3)} == {failed}
 
     def test_more_workers_than_cores_under_a_short_switch_interval(self):
         serial = estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True).successes
@@ -336,9 +353,9 @@ class TestPairwiseFanOut:
             estimate_failure_rate(self.PARAMS, self.POINTS, 60, pairwise=True, workers=2)
 
     def test_blocks_on_pool_threads_judge_inline(self, monkeypatch):
-        # 7 blocks over 3 workers run on pool threads; a block there that handed its
-        # verdicts to the pool would wait on its own pool
-        monkeypatch.setattr(fastjl_rng, "TRIAL_BLOCK", 16)
+        # 7 blocks over 3 workers; the live calling thread keeps process_map off fork, so they
+        # run on pool threads, where a block that handed its verdicts to the pool would wait on it
+        monkeypatch.setattr(verify, "_PAIRWISE_BLOCK", 16)
         serial = estimate_failure_rate(self.PARAMS, self.POINTS, 100, pairwise=True).successes
         result = {}
 
@@ -370,7 +387,7 @@ class TestPairwiseRawWidth:
         proj = sample_projection(k, d, q, 0)
         kernel = PhdKernel(np.ones(d), proj.indptr, proj.cols, proj.weights, k, len(points))
         assert (kernel.M is not None, kernel.Pt is not None) == (folded, not folded)
-        monkeypatch.setattr(fastjl_rng, "TRIAL_BLOCK", 16)  # 7 blocks, so 3 workers share them
+        monkeypatch.setattr(verify, "_PAIRWISE_BLOCK", 16)  # 7 blocks, so 3 workers share them
         counts = set()
         for seed in (1, 2, 3):
             params = JlParams(d=d, k=k, eps=eps, q=q, seed=seed, norm_criterion=criterion)
@@ -954,12 +971,12 @@ class TestGaussianSquareTail:
 class TestElementaryInequality:
     @pytest.mark.parametrize("x,a", [(0.0, 7.0), (0.5, 2.0), (1.0, 1.0)])
     def test_examples(self, x, a):
-        assert elementary_ineq_check(x, a) is Verdict.PASS
+        assert elementary_ineq_holds(x, a)
 
     def test_full_grid(self):
         grid = elementary_grid()
         assert len(grid) == 10_000
-        assert all(elementary_ineq_check(x, a) is Verdict.PASS for x, a in grid)
+        assert elementary_ineq_holds(*grid.T).all()
 
     def test_grid_equals_the_loop_construction(self):
         pairs = []
@@ -973,13 +990,7 @@ class TestElementaryInequality:
         grid = np.vstack([elementary_grid(), [[0.5, 10.0]]])
         holds = elementary_ineq_holds(*grid.T)
         assert holds[:-1].all() and not holds[-1]
-        assert holds[:-1].tolist() == [elementary_ineq_check(x, a) is Verdict.PASS for x, a in grid[:-1].tolist()]
-
-    def test_domain_violations(self):
-        with pytest.raises(DomainError):
-            elementary_ineq_check(1.5, 0.5)
-        with pytest.raises(DomainError):
-            elementary_ineq_check(0.5, 3.0)  # a x > 1
+        assert holds.tolist() == [bool(elementary_ineq_holds(x, a)) for x, a in grid.tolist()]
 
 
 class TestLowerBoundWitness:
@@ -1101,6 +1112,14 @@ class TestRunTrials:
     def test_block_counts(self):
         assert run_trials(3, 2 * TRIAL_BLOCK + 5, lambda rng, count: count) == [4096, 4096, 5]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block", [1, 5, 16])
+    def test_block_argument_sets_the_block_size(self, block, workers):
+        # 37 trials: block b draws min(block, 37 - b * block) of them from substream(9, b)
+        got = run_trials(9, 37, lambda rng, count: (count, int(rng.integers(2**62))), workers, block=block)
+        assert got == [(min(block, 37 - b * block), int(substream(9, b).integers(2**62)))
+                       for b in range(-(-37 // block))]
+
     def test_block_order_at_three_workers(self):
         def draw(rng, count):
             if count == TRIAL_BLOCK:
@@ -1141,37 +1160,6 @@ class TestRunTrials:
             runs.setdefault(pid, []).append(key)
         assert len(runs) == min(workers, blocks)
         assert all(run == list(range(run[0], run[0] + len(run))) for run in runs.values())
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_verdicts_in_flight_are_bounded(self, workers):
-        # drawn - judged bounds the verdicts in flight from above
-        lock, state, drawers = threading.Lock(), {"drawn": 0, "judged": 0, "most": 0}, set()
-
-        def note():
-            with lock:
-                state["most"] = max(state["most"], state["drawn"] - state["judged"])
-
-        def samples(rng, count):
-            for _ in range(count):
-                note()
-                drawers.add(threading.get_ident())
-                value = int(rng.integers(2**62))
-                with lock:
-                    state["drawn"] += 1
-                yield value
-
-        def verdict(sample):
-            note()
-            time.sleep(0.002)
-            with lock:
-                state["judged"] += 1
-            return sample % 7
-
-        got = run_trials(8, 40, samples, workers, verdict=verdict)
-        rng = substream(8, 0)
-        assert got == [[int(rng.integers(2**62)) % 7 for _ in range(40)]]
-        assert drawers == {threading.get_ident()}
-        assert 2 * workers - 1 <= state["most"] <= 2 * workers
 
     def test_earliest_error_raised_once_every_block_returned(self, tmp_path):
         # block 0 fails at once while block 1 sleeps; its error must wait for block 1, whose
@@ -1323,12 +1311,12 @@ STREAM_PINS = {
     "estimate_failure_rate_pairwise": (
         lambda w: estimate_failure_rate(JlParams(d=16, k=16, q=0.5, eps=0.8, seed=33),
                                         np.random.default_rng(8).standard_normal((6, 16)), T,
-                                        pairwise=True, workers=w).successes, 2415),
-    # one block, so at 3 workers its verdicts go to the pool
-    "estimate_failure_rate_pairwise_one_block": (
+                                        pairwise=True, workers=w).successes, 2538),
+    # 300 trials: 19 pairwise blocks, the last one of 12 trials
+    "estimate_failure_rate_pairwise_19_blocks": (
         lambda w: estimate_failure_rate(JlParams(d=16, k=16, q=0.5, eps=0.8, seed=39),
                                         np.random.default_rng(10).standard_normal((6, 16)), 300,
-                                        pairwise=True, workers=w).successes, 81),
+                                        pairwise=True, workers=w).successes, 94),
     "coord_exceedance_rate": (
         lambda w: coord_exceedance_rate(_pin_unit_vector(), 2.0, 100.0, T, seed=34, workers=w).successes, 953),
     "chisq_lower_tail_check": (

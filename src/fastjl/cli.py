@@ -41,7 +41,7 @@ from .instances import (
     read_vectors,
     vector_writer,
 )
-from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed, parallel_map, process_map
+from .rng import MAX_WORKERS, TRIAL_BLOCK, derive_seed, parallel_map, process_map, runs
 from .sparsity import choose_k, q_ailon_chazelle, q_lower_threshold, q_theorem1
 from .transform import JlParams, NormCriterion, PhdKernel, sample_projection, sample_signs
 
@@ -265,12 +265,12 @@ def _run_embed(config: RunConfig) -> int:
 
     The rows go in kernel chunks of ``kernel.step`` rows counted from row 0,
     so the output bytes are those of one :meth:`PhdKernel.apply` on all rows.
-    The chunks are cut into ``min(workers, chunks)`` contiguous runs, one
-    ``.csv`` output being one run as its text is only appended.  A run is one
-    pool task that reads, checks, embeds and writes its own chunks through its
-    own two buffers.  :func:`parallel_map` raises the earliest run's error
-    only once every run has returned, so it names the file's first bad row
-    and no run writes to the output after it is closed.
+    The chunks are cut into :func:`.rng.runs`, one ``.csv`` output being
+    one run as its text is only appended.  A run, the first on the calling
+    thread, reads, checks, embeds and writes its own chunks through its own
+    two buffers.  :func:`parallel_map` raises the earliest run's error only
+    once every run has returned, so it names the file's first bad row and
+    no run writes to the output after it is closed.
     """
     with VectorReader(config.in_path) as reader:
         d = 1 << (reader.d - 1).bit_length()  # zero-padded to a power of two inside the kernel
@@ -281,21 +281,19 @@ def _run_embed(config: RunConfig) -> int:
         proj = sample_projection(k, d, q, config.seed)
         kernel = PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, k, reader.count)
         step, count = kernel.step, reader.count
-        chunks = -(-count // step)
-        runs = 1 if config.out_path.endswith(".csv") else max(1, min(config.workers, chunks))
+        parts = runs(-(-count // step), 1 if config.out_path.endswith(".csv") else config.workers)
         # made here, so the memory held is that of every run at once, however the runs overlap
-        buffers = [(np.empty((min(step, count), reader.d)), np.empty((min(step, count), k))) for _ in range(runs)]
+        jobs = [(part, np.empty((min(step, count), reader.d)), np.empty((min(step, count), k))) for part in parts]
 
-        def run(r: int) -> None:
-            lo, hi = r * chunks // runs * step, min((r + 1) * chunks // runs * step, count)
-            X, Y = buffers[r]
-            for first in range(lo, hi, step):
-                rows = min(step, hi - first)
+        def run(job: tuple) -> None:
+            chunks, X, Y = job
+            for first in range(chunks.start * step, min(chunks.stop * step, count), step):
+                rows = min(step, count - first)
                 kernel.apply_chunk(reader.read_rows(first, X[:rows]), Y[:rows])
                 write(first, Y[:rows])
 
         with vector_writer(config.out_path, k, count) as write:
-            parallel_map(run, range(runs), config.workers)
+            parallel_map(run, jobs, config.workers)
     print(
         f"embed: {reader.count} vectors, d={d} -> k={k}, q={q!r}, nnz={proj.nnz}, "
         f"seed={config.seed} -> {config.out_path}"

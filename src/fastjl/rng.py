@@ -12,10 +12,11 @@ fixed blocks, of ``TRIAL_BLOCK`` trials unless the estimator names a
 shorter one; block ``b`` of a run draws everything from
 ``substream(seed, b)``.  The block size is a constant of the
 implementation (never a function of the worker count), which makes
-parallel and sequential runs bit-identical; workers take contiguous runs
-of blocks, each run in its own process (:func:`process_map`), since the
-trial loops hold the interpreter lock.  The thread pool serves only the
-embedding products, which release it.
+parallel and sequential runs bit-identical.  :func:`runs` cuts blocks or
+an embedding's chunks into one contiguous run per worker.  Trial runs fork
+(:func:`process_map`), as the trial loops hold the interpreter lock, and
+embedding runs take threads (:func:`parallel_map`), as their products
+release it; both run item 0 in the caller and outlive no call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 import pickle
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,31 +56,26 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-_pools: dict[int, ThreadPoolExecutor] = {}  # the process's one thread pool, by its size
-
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    if workers not in _pools:
-        _pools.clear()
-        _pools[workers] = ThreadPoolExecutor(max_workers=workers)
-    return _pools[workers]
+def runs(n: int, workers: int) -> list[range]:
+    """``range(n)`` cut into ``min(workers, n)`` contiguous runs of near-equal length, in order."""
+    m = min(check_size("workers", workers, (1, MAX_WORKERS)), n)
+    return [range(r * n // m, (r + 1) * n // m) for r in range(m)]
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]``, inline or on ``workers`` threads of the process's one pool.
+    """``[fn(item) for item in items]``: item 0 on the calling thread, the rest on threads started for this call.
 
-    The pool outlives the call, so its threads keep their per-thread scratch,
-    until a forking :func:`process_map` shuts it down.
-    Nested calls, made from inside ``fn``, pass ``workers=1``: a pool thread
-    that waits on its own pool can deadlock.  When calls fail, the earliest
-    item's error is raised, and only once every call started has returned.
+    For work that releases the interpreter lock.  Callers pass runs, so at
+    most ``workers`` items, and at most ``workers - 1`` threads start.  Every
+    thread has returned when the call returns or raises, a Ctrl-C included;
+    when calls fail, the earliest item's error is raised.
     """
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    pool = _pool(workers)
-    futures = [pool.submit(fn, item) for item in items]
-    wait(futures)
-    return [future.result() for future in futures]
+    with ThreadPoolExecutor(min(workers, len(items)) - 1) as pool:
+        futures = [pool.submit(fn, item) for item in items[1:]]
+        first = fn(items[0])
+    return [first, *(future.result() for future in futures)]
 
 
 def process_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -87,15 +83,12 @@ def process_map(fn: Callable, items: Sequence, workers: int) -> list:
 
     For work that holds the interpreter lock.  A child pipes back ``(ok,
     result or exception)`` pickled and leaves with ``os._exit``.  A fork must
-    find no other thread alive, so the thread pool is shut down first; while
-    another thread lives, or without ``os.fork``, the items go to
-    :func:`parallel_map`.  Every child is reaped on every path: the earliest
-    item's error is raised once all have returned, and Ctrl-C kills them.
+    find no other thread alive; while another thread lives, or without
+    ``os.fork``, the items go to :func:`parallel_map`.  Every child is reaped
+    on every path: the earliest item's error is raised once all have
+    returned, and Ctrl-C kills them.
     """
-    forking = workers > 1 and len(items) > 1 and hasattr(os, "fork")
-    while forking and _pools:
-        _pools.popitem()[1].shutdown()
-    if not forking or threading.active_count() > 1:
+    if workers <= 1 or len(items) <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return parallel_map(fn, items, workers)
     children: list = []  # (pid, read end of its pipe)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # no Ctrl-C between a fork and its append
@@ -148,16 +141,13 @@ def run_trials(seed: int, trials: int, draw: Callable[[Generator, int], object],
     """``draw(substream(seed, b), count)`` for each block ``b`` of ``block`` trials, in block order.
 
     ``count`` is ``block`` except in the last block.  The blocks are cut
-    into ``min(workers, blocks)`` contiguous runs of near-equal length, one
-    :func:`process_map` item each, so ``draw`` must return what pickles.
-    What block ``b`` draws does not depend on ``workers``.
+    into :func:`runs`, one :func:`process_map` item each, so ``draw`` must
+    return what pickles.  What block ``b`` draws does not depend on ``workers``.
     """
     check_seed(seed)
-    blocks = -(-check_size("trials", trials) // block)
-    runs = max(1, min(check_size("workers", workers, (1, MAX_WORKERS)), blocks))
+    trials, block = check_size("trials", trials), check_size("block", block)
 
-    def run(r: int) -> list:
-        return [draw(substream(seed, b), min(block, trials - b * block))
-                for b in range(r * blocks // runs, (r + 1) * blocks // runs)]
+    def run(blocks: range) -> list:
+        return [draw(substream(seed, b), min(block, trials - b * block)) for b in blocks]
 
-    return [result for part in process_map(run, range(runs), workers) for result in part]
+    return [result for part in process_map(run, runs(-(-trials // block), workers), workers) for result in part]

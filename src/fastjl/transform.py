@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import OPEN_UNIT, RATE, DimensionError, ParameterError, check_finite, check_real, check_size
-from .rng import MAX_WORKERS, check_seed, parallel_map, substream
+from .rng import check_seed, parallel_map, runs, substream
 
 # Key paths so that the sign diagonal, the sparse projection and the dense
 # reference matrix drawn from one seed are independent streams.
@@ -434,14 +434,18 @@ class PhdKernel:
     def apply(self, X: np.ndarray, out: np.ndarray | None = None, workers: int = 1) -> np.ndarray:
         """The embeddings of the rows of ``X[n, d_raw]``, ``d_raw <= d``, written into ``out[n, k]``.
 
-        Rows go in chunks of ``step`` from row 0, on up to ``workers`` threads of
-        the process's one pool (:func:`.rng.parallel_map`); chunk boundaries
+        Rows go in chunks of ``step`` from row 0, cut into :func:`.rng.runs`
+        over ``workers`` threads (:func:`.rng.parallel_map`); chunk boundaries
         depend on the shapes only, so the result is the same at every worker count.
         """
         Y = np.empty((len(X), self.k)) if out is None else out
         step = self.step
-        parallel_map(lambda lo: self.apply_chunk(X[lo : lo + step], Y[lo : lo + step]),
-                     range(0, len(X), step), workers)
+
+        def run(chunks: range) -> None:
+            for lo in range(chunks.start * step, chunks.stop * step, step):
+                self.apply_chunk(X[lo : lo + step], Y[lo : lo + step])
+
+        parallel_map(run, runs(-(-len(X) // step), workers), workers)
         return Y
 
     def apply_chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
@@ -471,9 +475,10 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     costs one dense ``k x d`` product and no FWHT of its own.  That decision is
     made on the total row count, so a caller streaming rows in batches through
     the same prepared kernel gets the bits of one call on all rows.  It then
-    applies the rows in fixed chunks of about 2 MB, spread over ``workers``
-    threads of the process's one pool, each keeping its chunk scratch (see
-    :class:`PhdKernel`).  The output is bit-identical at every worker count.
+    applies the rows in fixed chunks of about 2 MB, cut into contiguous runs
+    over ``workers`` threads as CLI ``embed`` cuts them, each run in its
+    thread's chunk scratch (see :class:`PhdKernel`).  The output is
+    bit-identical at every worker count.
     NaN or infinity in ``X`` raises :class:`ParameterError`.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
@@ -483,7 +488,6 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     if X.dtype != np.float64:
         raise ParameterError(f"X must have dtype float64, got {X.dtype}")
     check_finite("X", X)
-    check_size("workers", workers, (1, MAX_WORKERS))
     kernel = PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, len(X), one_shot=True)
     return kernel.apply(X, workers=workers)
 

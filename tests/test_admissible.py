@@ -3,11 +3,12 @@
 A number is admissible only if it is finite and inside its interval; an
 integer size is also an integer, at most 2**53.  Each row calls one entry
 point of ``fastjl``, ``fastjl.verify`` or ``fastjl.sparsity`` (and
-``fastjl.rng.run_trials``, which they share, and the dense baseline's
-``fastjl.transform.sample_dense_matrix``) with admissible arguments except
-one scalar, which takes NaN, +inf, -inf and one out-of-range value; an integer
-size also takes 10**400 and 2.5.  The error is the class of the check that
-owns the parameter.  Result records (``TailEstimate``, the ``*Check`` and
+``fastjl.rng.run_trials`` and ``fastjl.rng.runs``, which they share, the
+``fastjl.transform.PhdKernel.apply`` that CLI ``embed`` prepares, and the
+dense baseline's ``fastjl.transform.sample_dense_matrix``) with admissible
+arguments except one scalar, which takes NaN, +inf, -inf and its
+out-of-range values; an integer size also takes 10**400 and 2.5.  The error
+is the class of the check that owns the parameter.  Result records (``TailEstimate``, the ``*Check`` and
 ``*Result`` classes) and ``make_record`` hold outputs, and
 ``elementary_ineq_holds`` is documented as unchecked, so they have no row.
 """
@@ -36,8 +37,8 @@ from fastjl import (
     sample_projection,
     sample_signs,
 )
-from fastjl.rng import run_trials
-from fastjl.transform import sample_dense_matrix
+from fastjl.rng import run_trials, runs
+from fastjl.transform import PhdKernel, sample_dense_matrix
 from fastjl.verify import (
     BoundSpec,
     Lemma,
@@ -56,14 +57,16 @@ from fastjl.verify import (
 )
 
 NAN, INF, HUGE = math.nan, math.inf, 10**400
-SIZES = {"d", "k", "r", "s", "successes", "trials", "workers", "seed"}
+SIZES = {"d", "k", "r", "s", "successes", "trials", "workers", "seed", "block"}
 P, D, DOM = ParameterError, DimensionError, DomainError
 
 X = random_unit_vector(16, 0)
 PROJ = sample_projection(4, 16, 0.5, 1)
 MC = dict(trials=2, seed=0, workers=1)
 
-# (label, entry point, admissible arguments, {parameter: (out-of-range value, error)})
+KERNEL = PhdKernel(sample_signs(16, 1).signs, PROJ.indptr, PROJ.cols, PROJ.weights, 4, 1)
+
+# (label, entry point, admissible arguments, {parameter: (out-of-range value or values, error)})
 ENTRY_POINTS = [
     ("JlParams", JlParams, dict(d=16, k=4, eps=0.5, q=0.5, seed=1),
      {"d": (0, P), "k": (17, P), "eps": (1.0, P), "q": (0.0, P), "seed": (-1, P)}),
@@ -76,6 +79,7 @@ ENTRY_POINTS = [
      {"k": (0, P), "d": (0, P), "q": (0.0, P), "seed": (-1, P)}),
     ("apply_phd", apply_phd, dict(X=X[None, :], diag=sample_signs(16, 1), proj=PROJ, workers=1),
      {"workers": (0, P)}),
+    ("PhdKernel.apply", KERNEL.apply, dict(X=X[None, :], workers=1), {"workers": ((0, -5, 65), P)}),
     ("sample_dense_matrix", sample_dense_matrix, dict(k=4, d=16, seed=1), {"k": (0, P), "d": (0, P), "seed": (-1, P)}),
     ("q_theorem1", q_theorem1, dict(eps=0.5, n=100, d=64, c_q=1.0),
      {"eps": (1.0, P), "n": (1, P), "d": (1, P), "c_q": (0.0, P)}),
@@ -114,7 +118,8 @@ ENTRY_POINTS = [
       "trials": (0, P), "seed": (-1, P), "workers": (0, P)}),
     ("mgf_premise_estimate", mgf_premise_estimate, dict(MC), {"trials": (0, P), "seed": (-1, P), "workers": (0, P)}),
     ("run_trials", run_trials, dict(draw=lambda rng, count: count, **MC),
-     {"trials": (0, P), "seed": (-1, P), "workers": (0, P)}),
+     {"trials": (0, P), "seed": (-1, P), "workers": (0, P), "block": ((0, -1), P)}),
+    ("runs", runs, dict(n=3, workers=1), {"workers": (65, P)}),
 ]
 
 # Values whose error differs from the parameter's: total_mass_statistic tests
@@ -125,7 +130,8 @@ OVERRIDES = {("total_mass_statistic", "delta", INF): DOM}
 def _cases():
     for label, entry, kwargs, params in ENTRY_POINTS:
         for name, (out_of_range, error) in params.items():
-            for value in (NAN, INF, -INF, out_of_range, *((HUGE, 2.5) if name in SIZES else ())):
+            out = out_of_range if isinstance(out_of_range, tuple) else (out_of_range,)
+            for value in (NAN, INF, -INF, *out, *((HUGE, 2.5) if name in SIZES else ())):
                 shown = "10**400" if value is HUGE else repr(value)
                 yield pytest.param(entry, {**kwargs, name: value}, OVERRIDES.get((label, name, value), error),
                                    id=f"{label}-{name}={shown}")

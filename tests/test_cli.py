@@ -30,7 +30,7 @@ from fastjl import (
 )
 from fastjl import cli, instances, verify
 from fastjl.cli import RunConfig, execute, main, parse_config
-from fastjl.rng import MAX_WORKERS, TRIAL_BLOCK, _pools
+from fastjl.rng import MAX_WORKERS, TRIAL_BLOCK
 from fastjl.sparsity import q_theorem1
 from fastjl.transform import _CHUNK_CELLS, PhdKernel
 from helpers import CallLog
@@ -381,6 +381,22 @@ class TestStreamedEmbed:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("fastjl: error:") and "row 6" in err[0]
         assert opened == [] and not dst.exists()
+
+    def test_no_thread_outlives_the_command(self, tmp_path, monkeypatch):
+        # 5 chunks over 2 workers: run 0 (chunks 0-1) on the calling thread, run 1 (chunks 2-4) on
+        # a thread started for the call, which has returned when main does
+        threads, read_rows = {}, instances.VectorReader.read_rows
+
+        def logged(reader, first, out):
+            threads[first // STEP] = threading.get_ident()
+            return read_rows(reader, first, out)
+
+        monkeypatch.setattr(instances.VectorReader, "read_rows", logged)
+        write_vectors(tmp_path / "x.fjlv", np.random.default_rng(6).standard_normal((4 * STEP + 3, 1000)))
+        assert self.run(tmp_path / "x.fjlv", tmp_path / "y.fjlv", "2") == 0
+        here = threading.get_ident()
+        assert [threads[c] == here for c in range(5)] == [True, True, False, False, False]
+        assert len(set(threads.values())) == 2 and threading.active_count() == 1
 
     def test_traced_memory_does_not_grow_with_the_file(self, tmp_path):
         # tracemalloc sees numpy's buffers; the larger input holds 4x the rows
@@ -871,7 +887,7 @@ class TestWorkerProcesses:
 
     def test_pairwise_blocks_fork_and_start_no_thread(self, tmp_path, monkeypatch):
         # 64 trials are 4 blocks of 16: blocks 0-1 are judged here, on this thread, and blocks 2-3
-        # in one child; no verdict goes to the thread pool, so it is not started
+        # in one child; no verdict goes to a thread, so none is started
         judged, judge = CallLog(tmp_path / "judged"), verify._pairwise_trial_fails
 
         def logged(*args, **kwargs):
@@ -884,7 +900,7 @@ class TestWorkerProcesses:
         here = [tid for pid, tid in calls if pid == os.getpid()]
         assert len(calls) == 64 and len({pid for pid, _ in calls}) == 2
         assert len(here) == 32 and set(here) == {threading.get_ident()}
-        assert not _pools and threading.active_count() == 1
+        assert threading.active_count() == 1
 
     # SIGINT to the command alone, or to its process group as Ctrl-C at a terminal sends it, once it
     # has forked its worker: the worker stops at once and is reaped (left alone, it would run for
@@ -962,10 +978,12 @@ def test_allocation_beyond_the_machine_exits_2(tmp_path):
 
 
 def test_only_rng_imports_concurrent_futures():
-    # the process keeps one thread pool, made in rng.parallel_map; no other module builds one
-    importers = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py")
-                       if re.search(r"^\s*(from|import) concurrent\b", path.read_text(), re.MULTILINE))
-    assert importers == ["rng.py"]
+    # threads and processes start in rng alone, for the call that needs them: no other module
+    # imports concurrent or names a thread class, a fork or multiprocessing
+    starts = re.compile(r"^\s*(from|import) concurrent\b|ThreadPoolExecutor|\bThread\b|\bos\.fork\b|multiprocessing",
+                        re.MULTILINE)
+    starters = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py") if starts.search(path.read_text()))
+    assert starters == ["rng.py"]
 
 
 def test_every_exported_name_resolves():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -489,6 +490,13 @@ class TestApplyPhd:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got, want)
+
+    def test_no_thread_outlives_a_threaded_call(self):
+        d, k = 1024, 32
+        diag, proj = sample_signs(d, seed=8), sample_projection(k, d, 0.05, seed=8)
+        X = np.random.default_rng(8).standard_normal((2 * (_CHUNK_CELLS // d) + 7, d))
+        assert np.array_equal(apply_phd(X, diag, proj, workers=2), apply_phd(X, diag, proj))
+        assert threading.active_count() == 1
 
     def test_second_call_allocates_only_its_output(self):
         # tracemalloc sees numpy's buffers; 8 chunks and 5 rows at d = 1024 fold (D, P) into one matrix

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fastjl import DimensionError, DomainError, JlParams, NormCriterion, ParameterError, embed
+from fastjl import DimensionError, DomainError, JlParams, NormCriterion, ParameterError, apply_phd, embed, sample_signs
 from fastjl import rng as fastjl_rng
 from fastjl import verify
 from fastjl.verify import (
@@ -45,7 +45,7 @@ from fastjl.verify import (
 from fastjl.instances import random_unit_vector
 from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
 from fastjl.sparsity import q_lower_threshold, q_theorem1
-from fastjl.transform import PhdKernel, _draw_projection_arrays, _draw_signs, sample_projection
+from fastjl.transform import _CHUNK_CELLS, PhdKernel, _draw_projection_arrays, _draw_signs, sample_projection
 
 from helpers import CallLog, dense_hadamard, simulate_z_statistics, wilson_reference
 
@@ -1178,23 +1178,45 @@ class TestRunTrials:
         raised = time.monotonic()
         assert len(returned.read()) == 1 and returned.read()[0][0] < raised
 
-    def test_pool_outlives_a_call(self):
-        # the process keeps one pool, so a second call's items land on the first call's threads
-        # and find the scratch those threads made; a forking run shuts it down, and the next
-        # call builds it again
-        threads = []
+
+class TestParallelMap:
+    """``rng.runs`` cuts the work; ``rng.parallel_map`` runs item 0 here and the rest on threads of this call."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [0, 1, 5, 64, 65])
+    def test_runs_are_contiguous_and_near_equal(self, n, workers):
+        parts = fastjl_rng.runs(n, workers)
+        assert len(parts) == min(n, workers)
+        assert [i for part in parts for i in part] == list(range(n))
+        assert all(n // len(parts) <= len(part) <= -(-n // len(parts)) for part in parts)
+
+    @pytest.mark.parametrize("workers, items", [(2, 2), (3, 3), (3, 2), (4, 9)])
+    def test_item_0_runs_here_and_at_most_workers_minus_1_threads_start(self, workers, items):
+        here, threads = threading.get_ident(), {}
 
         def task(item):
-            threads.append(threading.current_thread())
-            time.sleep(0.01)  # so that both threads of a call take an item
-            return item
+            threads[item] = threading.get_ident()
+            time.sleep(0.01)  # so that the threads overlap
+            return 2 * item
 
-        for _ in range(2):
-            assert fastjl_rng.parallel_map(task, [4096, 4096, 5], 2) == [4096, 4096, 5]
-        assert len(threads) == 6 and len(set(threads)) <= 2
-        assert run_trials(5, 2 * TRIAL_BLOCK + 5, lambda rng, count: count, workers=2) == [4096, 4096, 5]
-        assert fastjl_rng.parallel_map(task, [4096, 4096, 5], 2) == [4096, 4096, 5]
-        assert len(threads) == 9 and not set(threads[6:]) & set(threads[:6])
+        assert fastjl_rng.parallel_map(task, range(items), workers) == [2 * item for item in range(items)]
+        others = {threads[item] for item in range(1, items)}
+        assert threads[0] == here and here not in others and len(others) <= workers - 1
+        assert threading.active_count() == 1
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_error_in_item_0_is_raised_once_every_thread_returned(self, error):
+        returned = []
+
+        def task(item):
+            if item == 0:
+                raise error("item 0")
+            time.sleep(0.1)
+            returned.append(item)
+
+        with pytest.raises(error, match="item 0"):
+            fastjl_rng.parallel_map(task, [0, 1, 2], 3)
+        assert sorted(returned) == [1, 2] and threading.active_count() == 1
 
 
 def _no_child_left() -> None:
@@ -1249,28 +1271,18 @@ class TestWorkerProcesses:
             run_trials(1, 2 * TRIAL_BLOCK, draw, workers=2)
         _no_child_left()
 
-    def test_run_after_the_thread_pool_started_gives_the_one_worker_counts(self):
-        # the pool's threads are alive when the run starts; it must shut them down before it forks,
-        # or a child could wait forever on a lock that a thread held at the fork
-        code = (
-            "import threading\n"
-            "import numpy as np\n"
-            "from fastjl import JlParams, apply_phd, sample_projection, sample_signs\n"
-            "from fastjl.verify import estimate_failure_rate\n"
-            "X = np.random.default_rng(0).standard_normal((3 * 4096, 64))\n"
-            "apply_phd(X, sample_signs(64, 1), sample_projection(16, 64, 0.25, 1), workers=2)\n"
-            "assert threading.active_count() > 1\n"
-            "params = JlParams(d=64, k=16, q=0.2, eps=0.2, seed=32)\n"
-            "x = np.random.default_rng(7).standard_normal(64)\n"
-            "print(estimate_failure_rate(params, x, 3 * 4096, workers=2).successes)\n"
-        )
-        src = os.path.dirname(os.path.dirname(verify.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-        assert done.returncode == 0, done.stderr
+    def test_run_after_a_threaded_apply_forks_and_gives_the_one_worker_counts(self):
+        # the apply's thread returns with the call, so the 2-worker runs that follow fork
+        X = np.random.default_rng(0).standard_normal((3 * (_CHUNK_CELLS // 64), 64))
+        apply_phd(X, sample_signs(64, 1), sample_projection(16, 64, 0.25, 1), workers=2)
+        assert threading.active_count() == 1
+        pids = run_trials(1, 2 * TRIAL_BLOCK, lambda rng, count: os.getpid(), workers=2)
+        assert pids[0] == os.getpid() and len(set(pids)) == 2
         params = JlParams(d=64, k=16, q=0.2, eps=0.2, seed=32)
         x = np.random.default_rng(7).standard_normal(64)
-        assert int(done.stdout) == estimate_failure_rate(params, x, 3 * TRIAL_BLOCK, workers=1).successes
+        counts = [estimate_failure_rate(params, x, 3 * TRIAL_BLOCK, workers=w).successes for w in (2, 1)]
+        assert counts[0] == counts[1]
+        _no_child_left()
 
 
 PINNED_TRIALS = 2 * TRIAL_BLOCK + 5  # three blocks, the last one short

@@ -3,9 +3,9 @@
 The embedding of a vector x is k^{-1/2} P H D x: a Rademacher sign diagonal,
 a fast Walsh-Hadamard transform, and a very sparse Gaussian projection whose
 occupancy rate q is set by closed-form schedulers.  The verify module checks
-the concentration inequalities behind those rates by simulation and exact
-oracles, and the bench module compares embedding times against dense
-Gaussian JL.
+the per-vector distortion rates by simulation, the lemmas module the tail
+bounds behind them by simulation and exact oracles, and the bench module
+compares embedding times against dense Gaussian JL.
 """
 
 from .errors import (

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -32,8 +31,9 @@ from typing import Callable
 import numpy as np
 
 from . import bench as bench_mod
-from . import verify
-from .errors import POSITIVE, FastJlError, ParameterError, check_real, check_size
+from . import lemmas, verify
+from .errors import (OPEN_UNIT, POINT_COUNT, POSITIVE, RATE, FastJlError, ParameterError, check_real,
+                     check_size)
 from .instances import (
     _atomic_write_bytes,
     VectorReader,
@@ -49,12 +49,11 @@ __all__ = ["RunConfig", "parse_config", "execute", "main"]
 
 _SCHEDULERS = ("theorem1", "ac")
 _CRITERIA = {"squared": NormCriterion.SQUARED_NORM, "norm": NormCriterion.NORM}
-_REAL = ("(", -math.inf, math.inf, ")")
 
 
-def _flag(flag: str, help_text: str, default=None):
-    """A :class:`RunConfig` field set by ``flag``; the field's annotation is the flag's type."""
-    return field(default=default, metadata={"flag": flag, "help": help_text})
+def _flag(flag: str, help_text: str, default=None, bounds: tuple | None = None):
+    """A :class:`RunConfig` field set by ``flag``, of its annotation's type; a float one lies in ``bounds``."""
+    return field(default=default, metadata={"flag": flag, "help": help_text, "bounds": bounds})
 
 
 @dataclass
@@ -73,25 +72,26 @@ class RunConfig:
     report: str | None = _flag("--report", "JSON-lines report path")
     d: int | None = _flag("--d", "input dimension (power of two)")
     k: int | None = _flag("--k", "target dimension (default: derived via c_k)")
-    eps: float | None = _flag("--eps", "distortion parameter")
-    delta: float | None = _flag("--delta", "failure probability (delta mode)")
-    n: float | None = _flag("--n", "number of points (n mode)")
+    eps: float | None = _flag("--eps", "distortion parameter", bounds=OPEN_UNIT)
+    delta: float | None = _flag("--delta", "failure probability (delta mode)", bounds=OPEN_UNIT)
+    n: float | None = _flag("--n", "number of points (n mode)", bounds=POINT_COUNT)
     q: float | None = _flag("--q", "explicit sparsity rate (conflicts with --scheduler; "
-                                   "verify-lower default: threshold / q-divisor)")
+                                   "verify-lower default: threshold / q-divisor)", bounds=RATE)
     scheduler: str | None = _flag("--scheduler", "q scheduler: theorem1 | ac")
-    c_q: float = _flag("--c-q", "multiplier for the scheduled q (verify-lower: inside the lower threshold)", 1.0)
-    c_k: float = _flag("--c-k", "multiplier for the derived k", 1.0)
+    c_q: float = _flag("--c-q", "multiplier for the scheduled q (verify-lower: inside the lower threshold)", 1.0,
+                       POSITIVE)
+    c_k: float = _flag("--c-k", "multiplier for the derived k", 1.0, POSITIVE)
     trials: int = _flag("--trials", "Monte Carlo trials (verify-lemmas: per grid point)", 10000)
-    q_divisor: float = _flag("--q-divisor", "divisor applied to the lower threshold, > 0", 16.0)
+    q_divisor: float = _flag("--q-divisor", "divisor applied to the lower threshold, > 0", 16.0, POSITIVE)
     criterion: str = _flag("--criterion", "norm window: squared | norm", "squared")
-    coord_c: float | None = _flag("--coord-c", "also run the coordinate-bound check at this c")
+    coord_c: float | None = _flag("--coord-c", "also run the coordinate-bound check at this c", bounds=POSITIVE)
     pairwise: bool = _flag("--pairwise", "check all pairwise distances of --in", False)
     compare_threshold: bool = _flag("--compare-threshold", "also run the witness at the undivided threshold rate",
                                     False)
     total_mass: bool = _flag("--total-mass", "also run the total-mass deviation statistic (needs delta < 4^-4)",
                              False)
-    c3: float = _flag("--c3", "assumed chi-square lower-tail constant c3", 0.1)
-    big_c3: float = _flag("--C3", "assumed chi-square lower-tail constant C3", 2.0)
+    c3: float = _flag("--c3", "assumed chi-square lower-tail constant c3", 0.1, POSITIVE)
+    big_c3: float = _flag("--C3", "assumed chi-square lower-tail constant C3", 2.0, POSITIVE)
     methods: str = _flag("--methods", "comma-separated: Dense,FastJL_AC,FastJL_New (aliases dense,ac,new)",
                          ",".join(bench_mod.METHODS))
     reps: int = _flag("--reps", "timed repetitions per method", 9)
@@ -214,7 +214,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     for f, _required in own:
         value = getattr(config, f.name)
         if _type(f) is float and value is not None:
-            check_real(f.metadata["flag"], value, POSITIVE if f.name in ("c3", "big_c3", "q_divisor") else _REAL)
+            check_real(f.metadata["flag"], value, f.metadata["bounds"])
 
     _validate_paths(config)
     return config
@@ -373,34 +373,34 @@ def _run_verify_lemmas(config: RunConfig) -> int:
     """
     record = _recorder(config)
 
-    def bound_record(point: tuple[int, verify.BoundSpec]) -> dict:
+    def bound_record(point: tuple[int, lemmas.BoundSpec]) -> dict:
         index, spec = point
         seed = derive_seed(config.seed, 0, index)
         t0 = time.perf_counter()
-        check = verify.run_bound_check(spec, config.trials, seed)
+        check = lemmas.run_bound_check(spec, config.trials, seed)
         return record(f"lemma_bound:{spec.lemma.value}",
                       {**{k: float(v) for k, v in spec.params.items()}, "event": spec.event_description()}, t0,
                       estimate=check.estimate, bound=check.bound, verdict=check.verdict, seed=seed)
 
-    points = list(enumerate(verify.default_bound_grid()))
+    points = list(enumerate(lemmas.default_bound_grid()))
     w = min(config.workers, len(points))
     shares = process_map(lambda r: [bound_record(point) for point in points[r::w]], range(w), config.workers)
     records = [shares[i % w][i // w] for i in range(len(points))]
 
-    for index, (r, q, alpha) in enumerate(verify.reverse_chernoff_grid()):
+    for index, (r, q, alpha) in enumerate(lemmas.reverse_chernoff_grid()):
         t0 = time.perf_counter()
-        check = verify.reverse_chernoff_check(r, q, alpha)
+        check = lemmas.reverse_chernoff_check(r, q, alpha)
         records.append(record("reverse_chernoff", {"r": r, "q": q, "alpha": alpha, "threshold": check.threshold},
                               t0, exact=check.exact, bound=check.bound, verdict=check.verdict))
 
-    for x in verify.gaussian_square_grid():
-        check = verify.gaussian_square_tail_check(x)
+    for x in lemmas.gaussian_square_grid():
+        check = lemmas.gaussian_square_tail_check(x)
         records.append(record("gaussian_square_tail", {"x": x},
                               exact=check.exact, bound=check.bound, verdict=check.verdict))
 
     t0 = time.perf_counter()
-    grid = verify.elementary_grid()
-    bad = grid[~verify.elementary_ineq_holds(*grid.T)].tolist()
+    grid = lemmas.elementary_grid()
+    bad = grid[~lemmas.elementary_ineq_holds(*grid.T)].tolist()
     records.append(record("elementary_inequality_grid", {"points": len(grid)}, t0,
                           verdict=verify.Verdict.PASS if not bad else verify.Verdict.FAIL,
                           extra={"violations": bad[:16]}))
@@ -409,15 +409,15 @@ def _run_verify_lemmas(config: RunConfig) -> int:
         seed = derive_seed(config.seed, 1, index)
         t0 = time.perf_counter()
         # one worker: a fork costs some 5 ms, and these checks draw for about 1 ms at 10^4 trials
-        check = verify.chisq_lower_tail_check(weights, x, config.trials, config.c3, config.big_c3, seed)
+        check = lemmas.chisq_lower_tail_check(weights, x, config.trials, config.c3, config.big_c3, seed)
         records.append(record("chisq_lower_tail", {"weights": list(weights), "x": x, "c3": config.c3,
                                                    "C3": config.big_c3, "constants_assumed": True}, t0,
                               estimate=check.estimate, bound=check.bound, verdict=check.verdict, seed=seed))
 
     seed = derive_seed(config.seed, 2)
     t0 = time.perf_counter()
-    mgf = verify.mgf_premise_estimate(max(config.trials, 10**6), seed, workers=config.workers)
-    records.append(record("subexponential_mgf_premise", {"rate": verify.MGF_RATE, "target": mgf.target}, t0,
+    mgf = lemmas.mgf_premise_estimate(max(config.trials, 10**6), seed, workers=config.workers)
+    records.append(record("subexponential_mgf_premise", {"rate": lemmas.MGF_RATE, "target": mgf.target}, t0,
                           verdict=mgf.verdict, seed=seed,
                           extra={"mean": mgf.mean, "stderr": mgf.stderr, "trials": mgf.trials}))
 

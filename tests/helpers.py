@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fastjl import verify
+from fastjl import lemmas
 
 
 def dense_hadamard(d: int) -> np.ndarray:
@@ -58,15 +58,15 @@ class ZStatistics(NamedTuple):
 def simulate_z_statistics(m: int, q: float, k: int, trials: int, seed: int, workers: int = 1) -> ZStatistics:
     """Draw (max, sum, sum of squares) of k independent Binomial(m, q)/m values per trial.
 
-    The counts are those that ``verify.run_bound_check`` counts its events
-    on: the uniforms of ``verify._z_trials``, inverted through the exact CDF
-    by ``verify._z_counts``.  The statistics are reduced exactly on the
+    The counts are those that ``lemmas.run_bound_check`` counts its events
+    on: the uniforms of ``lemmas._z_trials``, inverted through the exact CDF
+    by ``lemmas._z_counts``.  The statistics are reduced exactly on the
     integer counts and divided by m (or m^2) once.
     """
-    m, q, k, cdf, table = verify._z_table(m, q, k)
+    m, q, k, cdf, table = lemmas._z_table(m, q, k)
 
     def statistics(u):
-        x, squares = verify._z_counts(u, cdf, table)
+        x, squares = lemmas._z_counts(u, cdf, table)
         return x.max(axis=0) / m, x.sum(axis=0) / m, squares.sum(axis=0) / (m * m)
 
-    return ZStatistics(*map(np.concatenate, zip(*verify._z_trials(k, trials, seed, workers, statistics))))
+    return ZStatistics(*map(np.concatenate, zip(*lemmas._z_trials(k, trials, seed, workers, statistics))))

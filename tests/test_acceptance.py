@@ -31,23 +31,21 @@ from fastjl import (
 )
 from fastjl.cli import main as cli_main
 from fastjl.sparsity import q_ailon_chazelle, q_lower_threshold, q_theorem1
-from fastjl.verify import (
+from fastjl.lemmas import (
     BoundSpec,
     REVERSE_CHERNOFF_MIN_QR,
     Lemma,
-    Verdict,
     default_bound_grid,
     elementary_grid,
     elementary_ineq_holds,
-    estimate_failure_rate,
     gaussian_square_grid,
     gaussian_square_tail_check,
-    lower_bound_witness,
     mgf_premise_estimate,
     reverse_chernoff_check,
     reverse_chernoff_grid,
     run_bound_check,
 )
+from fastjl.verify import Verdict, estimate_failure_rate, lower_bound_witness
 
 from helpers import dense_hadamard
 

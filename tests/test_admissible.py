@@ -2,7 +2,7 @@
 
 A number is admissible only if it is finite and inside its interval; an
 integer size is also an integer, at most 2**53.  Each row calls one entry
-point of ``fastjl``, ``fastjl.verify`` or ``fastjl.sparsity`` (and
+point of ``fastjl``, ``fastjl.verify``, ``fastjl.lemmas`` or ``fastjl.sparsity`` (and
 ``fastjl.rng.run_trials`` and ``fastjl.rng.runs``, which they share, the
 ``fastjl.transform.PhdKernel.apply`` that CLI ``embed`` prepares, and the
 dense baseline's ``fastjl.transform.sample_dense_matrix``) with admissible
@@ -39,19 +39,21 @@ from fastjl import (
 )
 from fastjl.rng import run_trials, runs
 from fastjl.transform import PhdKernel, sample_dense_matrix
-from fastjl.verify import (
+from fastjl.lemmas import (
     BoundSpec,
     Lemma,
-    TailEstimate,
     binomial_tail_exact,
     chisq_lower_tail_check,
-    coord_exceedance_rate,
-    estimate_failure_rate,
     gaussian_square_tail_check,
-    lower_bound_witness,
     mgf_premise_estimate,
     reverse_chernoff_check,
     run_bound_check,
+)
+from fastjl.verify import (
+    TailEstimate,
+    coord_exceedance_rate,
+    estimate_failure_rate,
+    lower_bound_witness,
     total_mass_statistic,
     wilson_interval,
 )

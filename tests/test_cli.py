@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -557,7 +558,7 @@ class TestVerifyLemmasCommand:
         def no_work(*args, **kwargs):
             raise AssertionError("the grid ran")
 
-        monkeypatch.setattr(cli.verify, "run_bound_check", no_work)
+        monkeypatch.setattr(cli.lemmas, "run_bound_check", no_work)
         report = tmp_path / "lemmas.jsonl"
         code = main(["verify-lemmas", flag, value, "--report", str(report)])
         err = capsys.readouterr().err.splitlines()
@@ -746,6 +747,17 @@ FLAG_TYPES = [(command, f.metadata["flag"], cli._type(f)) for command in cli._CO
 INT_FLAGS = [(command, flag) for command, flag, typ in FLAG_TYPES if typ is int]
 FLOAT_FLAGS = [(command, flag) for command, flag, typ in FLAG_TYPES if typ is float]
 
+# Small runs with an explicit --k or --q, so that most float flags go unused (--eps in embed and
+# bench, --n, --c-k, --coord-c, --q-divisor), and one value outside each float flag's interval.
+UNUSED_FLAG_BASE = {
+    "embed": "--in {dir}/x.fjlv --out {dir}/y.fjlv --k 4 --q 0.5",
+    "verify-upper": "--d 32 --eps 0.5 --k 4 --q 0.5 --trials 5 --report {dir}/r.jsonl",
+    "verify-lemmas": "--trials 5 --report {dir}/r.jsonl",
+    "verify-lower": "--eps 0.25 --delta 0.05 --d 64 --q 0.01 --trials 5 --report {dir}/r.jsonl",
+    "bench": "--d 16 --k 4 --q 0.5 --reps 3 --out {dir}/b.csv",
+}
+OUT_OF_DOMAIN = {"--eps": "5", "--delta": "1", "--n": "-1", "--q": "0", "--c-q": "0", "--c-k": "0",
+                 "--coord-c": "-2", "--q-divisor": "0", "--c3": "0", "--C3": "-1"}
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
@@ -754,10 +766,14 @@ def sweep_dir(tmp_path_factory):
     return path
 
 
+def without_flag(argv: list[str], flag: str) -> list[str]:
+    """``argv`` without ``flag`` and its value."""
+    return argv[: argv.index(flag)] + argv[argv.index(flag) + 2 :] if flag in argv else argv
+
+
 def check_flag_value(sweep_dir, command, flag, value):
     """Run ``command`` with ``flag value``: exit 0 or 1, or exit 2 with one ``fastjl: error:`` line."""
-    argv = f"{FLAG_SWEEP_BASE[command]} --seed 1 --workers 1".format(dir=sweep_dir).split()
-    argv = argv[: argv.index(flag)] + argv[argv.index(flag) + 2 :] if flag in argv else argv
+    argv = without_flag(f"{FLAG_SWEEP_BASE[command]} --seed 1 --workers 1".format(dir=sweep_dir).split(), flag)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, *argv, f"{flag}={value}"])  # "--q -1" would read -1 as an option
@@ -794,6 +810,17 @@ class TestNumericFlags:
 
     def test_every_numeric_flag_is_swept(self):
         assert len(INT_FLAGS) == 20 and len(FLOAT_FLAGS) == 23
+
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_float_flag_outside_its_interval_exits_2_where_unused(self, tmp_path, capsys, command, flag):
+        # every float flag is checked against its interval, also where the run would not use it
+        make_dataset(tmp_path / "x.fjlv", n=5, d=20)
+        argv = without_flag(UNUSED_FLAG_BASE[command].format(dir=tmp_path).split(), flag)
+        code = main([command, *argv, f"{flag}={OUT_OF_DOMAIN[flag]}"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"fastjl: error: {flag} must be in"), err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.fjlv"]
 
 
 class TestReplay:
@@ -984,6 +1011,28 @@ def test_only_rng_imports_concurrent_futures():
                         re.MULTILINE)
     starters = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py") if starts.search(path.read_text()))
     assert starters == ["rng.py"]
+
+
+def _imported_modules(nodes) -> set[str]:
+    """The ``fastjl`` modules, and the names in them, that these import statements name."""
+    found = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("fastjl" if node.level else None, node.module)))
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_harness_modules_import_at_module_level_and_lemmas_builds_on_verify():
+    # an import inside main counts in the benchmark child's main_s: with verify imported
+    # inside the verify runners, mc_pairwise items_per_s_2w read 800 -> 526
+    src = Path(cli.__file__).parent
+    top = _imported_modules(ast.parse((src / "cli.py").read_text()).body)
+    assert {"fastjl.bench", "fastjl.lemmas", "fastjl.verify"} <= top
+    everywhere = _imported_modules(ast.walk(ast.parse((src / "verify.py").read_text())))
+    assert not [m for m in everywhere if m == "fastjl.lemmas" or m.startswith("fastjl.lemmas.")]
 
 
 def test_every_exported_name_resolves():

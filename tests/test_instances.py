@@ -11,6 +11,7 @@ from fastjl import (
     DimensionMismatchError,
     InstanceError,
     ParameterError,
+    fwht_inplace,
     hard_vector,
     random_unit_vector,
     read_vectors,
@@ -61,6 +62,17 @@ class TestHardVector:
     def test_large_d_uses_index_rule(self):
         inst = hard_vector(0.01, 2**13)
         assert np.array_equal(inst.predicted_support, np.arange(0, 2**13, 2))
+
+    @pytest.mark.parametrize("d", [2**13, 2**16])
+    @pytest.mark.parametrize("delta", [0.01, 1e-6])
+    def test_index_rule_against_the_fast_transform(self, d, delta):
+        # beyond the dense oracle's sizes the index rule is checked through the FWHT
+        inst = hard_vector(delta, d)
+        u = fwht_inplace(inst.x.copy())
+        nz = np.flatnonzero(np.abs(u) > 1e-9 * inst.predicted_magnitude)
+        assert len(nz) == d // 2**inst.level == inst.m
+        assert np.array_equal(nz, inst.predicted_support)
+        assert np.abs(u[nz] - inst.predicted_magnitude).max() < 1e-12
 
     def test_sign_fixing_probability(self):
         # P[Dx = x] = 2^(-2^l); empirical frequency within 4 sigma at l in {1, 2}

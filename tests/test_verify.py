@@ -15,30 +15,32 @@ import pytest
 from scipy import stats
 
 from fastjl import DimensionError, DomainError, JlParams, NormCriterion, ParameterError, apply_phd, embed, sample_signs
+from fastjl import lemmas, verify
 from fastjl import rng as fastjl_rng
-from fastjl import verify
-from fastjl.verify import (
+from fastjl.lemmas import (
     BoundSpec,
     Lemma,
-    TailEstimate,
-    Verdict,
     binomial_tail_exact,
     check_bound,
     chisq_lower_tail_check,
-    coord_exceedance_rate,
     default_bound_grid,
     elementary_grid,
     elementary_ineq_holds,
-    estimate_failure_rate,
     gaussian_square_grid,
     gaussian_square_tail_check,
     lemma_bound,
-    lower_bound_witness,
-    make_record,
     mgf_premise_estimate,
     reverse_chernoff_check,
     reverse_chernoff_grid,
     run_bound_check,
+)
+from fastjl.verify import (
+    TailEstimate,
+    Verdict,
+    coord_exceedance_rate,
+    estimate_failure_rate,
+    lower_bound_witness,
+    make_record,
     total_mass_statistic,
     wilson_interval,
 )
@@ -417,13 +419,20 @@ class TestCoordExceedance:
         b = coord_exceedance_rate(x, 2.0, 100.0, 1000, seed=6)
         assert a == b
 
-    # counts recorded before the signs were transformed in place; at d = 1024 a
-    # batch is 2048 rows, so the 4396 trials are two blocks of two and one batches
+    # counts recorded before the signs were transformed in place, in batches of 2048
+    # rows at d = 1024; the 4396 trials are now two blocks of 16 and 2 pieces of 256 rows
     @pytest.mark.parametrize("c,count", [(1.0, 4396), (1.5, 3280), (2.0, 866)])
     def test_counts_are_pinned(self, c, count):
         x = random_unit_vector(1024, 3)
         for workers in (1, 2):
             assert coord_exceedance_rate(x, c, 1e3, TRIAL_BLOCK + 300, seed=7, workers=workers).successes == count
+
+    def test_count_is_pinned_at_one_row_per_piece(self):
+        # above _CHUNK_CELLS cells a piece of signs is one row; the count was recorded
+        # when the signs of 4-row batches were drawn in pieces of _CHUNK_CELLS cells
+        assert _CHUNK_CELLS < 2**19
+        x = random_unit_vector(2**19, 3)
+        assert coord_exceedance_rate(x, 3.6, 1e3, 40, seed=11).successes == 13
 
     def test_random_unit_vector_rarely_exceeds(self):
         x = random_unit_vector(1024, 8)
@@ -533,12 +542,12 @@ class TestBinomialSampler:
 
     @staticmethod
     def _invert(m, q, u):
-        cdf, table = verify._binomial_table(m, q)
-        return verify._binomial_invert(u, cdf, table, np.empty(len(u), np.int16), np.empty(len(u), np.int64))
+        cdf, table = lemmas._binomial_table(m, q)
+        return lemmas._binomial_invert(u, cdf, table, np.empty(len(u), np.int16), np.empty(len(u), np.int64))
 
     @pytest.mark.parametrize("m, q", LAWS + [(1, 0.3), (5, 1.0), (10_000, 0.5)])
     def test_equals_a_search_of_the_whole_cdf(self, m, q):
-        cdf, table = verify._binomial_table(m, q)
+        cdf, table = lemmas._binomial_table(m, q)
         edges = np.arange(len(table)) / len(table)
         steps = cdf[(cdf > 0.0) & (cdf < 1.0)]
         u = np.concatenate([
@@ -554,7 +563,7 @@ class TestBinomialSampler:
     @pytest.mark.parametrize("m", [1, 2, 3, 16, 255, 10_000])
     def test_guide_table_equals_the_two_searches(self, m, q):
         # reference: searchsorted of the 2^16 bucket edges in the CDF, O(2^16 log m)
-        cdf, table = verify._binomial_table(m, q)
+        cdf, table = lemmas._binomial_table(m, q)
         edges = np.arange(len(table) + 1) / len(table)
         first = np.searchsorted(cdf, edges[:-1], side="right")
         last = np.searchsorted(cdf, edges[1:], side="left")
@@ -574,16 +583,16 @@ class TestBinomialSampler:
 
     @pytest.mark.parametrize("m, q", LAWS)
     def test_upper_tails_match_the_exact_tail(self, m, q):
-        cdf, _ = verify._binomial_table(m, q)
+        cdf, _ = lemmas._binomial_table(m, q)
         # below the mode the tails differ by the pmf's summed rounding (8.4e-13 relative at m = 2955);
         # above it by the rounding of 1 - cdf, under one unit in the last place of 1
         for s in np.unique(np.linspace(1, m, 60).astype(int)):
             assert 1.0 - cdf[s - 1] == pytest.approx(binomial_tail_exact(m, q, int(s)), rel=2e-12, abs=2.3e-16)
 
     def test_certain_success_and_one_trial(self):
-        cdf, table = verify._binomial_table(5, 1.0)
+        cdf, table = lemmas._binomial_table(5, 1.0)
         assert cdf.tolist() == [0.0] * 5 + [1.0] and np.all(table == 5)
-        cdf, table = verify._binomial_table(1, 0.25)
+        cdf, table = lemmas._binomial_table(1, 0.25)
         assert cdf[0] == pytest.approx(0.75, rel=1e-15) and cdf[1] == 1.0
         u = np.array([0.0, np.nextafter(cdf[0], 0.0), cdf[0], np.nextafter(1.0, 0.0)])
         assert self._invert(1, 0.25, u).tolist() == [0, 0, 1, 1]
@@ -592,15 +601,15 @@ class TestBinomialSampler:
         assert abs(batch.sum_z.mean() - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 40_000)
 
     def test_no_table_is_built_at_import(self):
-        code = "import fastjl.cli\nfrom fastjl import verify\nprint(verify._binomial_table.cache_info().currsize)"
-        src = os.path.dirname(os.path.dirname(verify.__file__))
+        code = "import fastjl.cli\nfrom fastjl import lemmas\nprint(lemmas._binomial_table.cache_info().currsize)"
+        src = os.path.dirname(os.path.dirname(lemmas.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "0"
 
     def test_tables_are_read_only(self):
-        cdf, table = verify._binomial_table(64, 0.25)
+        cdf, table = lemmas._binomial_table(64, 0.25)
         with pytest.raises(ValueError):
             cdf[0] = 0.5
         with pytest.raises(ValueError):
@@ -792,7 +801,7 @@ class TestBoundEventCounts:
         if expected is not None:
             assert reference == expected
         for workers in (1, 3):
-            assert verify._z_event_successes(m, q, k, stat, threshold, self.T, 12, workers) == reference
+            assert lemmas._z_event_successes(m, q, k, stat, threshold, self.T, 12, workers) == reference
 
     def test_a_count_equal_to_the_threshold_is_no_success(self):
         strict = self._reference(16, 0.3, 4, "max_z", 5 / 16, self.T, 12)
@@ -802,7 +811,7 @@ class TestBoundEventCounts:
     @pytest.mark.parametrize("k", [1, 3])
     def test_uniforms_on_and_beside_each_cdf_step(self, monkeypatch, k):
         # a uniform equal to cdf[c - 1] draws the count c: the max-type compare must take it
-        cdf, _ = verify._binomial_table(16, 0.3)
+        cdf, _ = lemmas._binomial_table(16, 0.3)
         u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0), np.nextafter(cdf[:-1], 1.0)])
         u = u[(u >= 0.0) & (u < 1.0)]
 
@@ -814,13 +823,13 @@ class TestBoundEventCounts:
         monkeypatch.setattr(fastjl_rng, "substream", lambda *key: Fixed())
         for j in range(17):
             expected = self._reference(16, 0.3, k, "max_z", j / 16, len(u), 0)
-            assert verify._z_event_successes(16, 0.3, k, "max_z", j / 16, len(u), 0, 1) == expected
+            assert lemmas._z_event_successes(16, 0.3, k, "max_z", j / 16, len(u), 0, 1) == expected
 
     def test_max_type_events_draw_no_counts(self, monkeypatch):
         def invert(*args):
             raise AssertionError("a max-type event inverted its uniforms")
 
-        monkeypatch.setattr(verify, "_binomial_invert", invert)
+        monkeypatch.setattr(lemmas, "_binomial_invert", invert)
         run_bound_check(BoundSpec(Lemma.MAX_Z, {"m": 64, "q": 0.25, "k": 8, "alpha": 0.1}), 100, seed=0)
         run_bound_check(BoundSpec(Lemma.SINGLE_Z, {"m": 64, "q": 0.25, "t": 0.5}), 100, seed=0)
         with pytest.raises(AssertionError):
@@ -1092,7 +1101,7 @@ class TestMgfPremise:
         parts = []
         for index, lo in enumerate(range(0, trials, TRIAL_BLOCK)):
             normals = substream(seed, index).standard_normal(min(TRIAL_BLOCK, trials - lo))
-            x = np.exp(verify.MGF_RATE * (normals**2 - 1.0))
+            x = np.exp(lemmas.MGF_RATE * (normals**2 - 1.0))
             parts.append((x.sum(), (x * x).sum()))
         mean = math.fsum(p[0] for p in parts) / trials
         var = (math.fsum(p[1] for p in parts) - trials * mean * mean) / (trials - 1)

@@ -15,7 +15,8 @@ Two file formats are supported, dispatched on the file suffix:
 * ``.csv``  -- text, one vector per line, 17 significant digits (enough
   for exact float64 round-trips).
 
-Readers reject NaN and infinity, naming the first bad row (1-based).
+Every file written here is finite, as every reader requires: readers and
+writers reject NaN and infinity, naming the first bad row (1-based).
 Vectors travel as plain ``(n, d)`` float64 arrays, at any width d; the PHD
 kernel zero-pads rows to a power of two in its own scratch, so nothing here
 pads.  :func:`read_vectors` and :func:`write_vectors` move a whole array;
@@ -159,10 +160,11 @@ def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[in
     rows on opening and each block goes to its own offset with ``os.pwrite``,
     so blocks may come in any order and from several threads at once.  A
     ``.csv`` file is text appended row after row, so it takes blocks only in
-    row order.  Blocks go straight into the temporary file of an atomic write,
-    with no copy of the whole set; ``path`` is replaced only if the blocks
-    written cover the ``count`` rows exactly once and no error escaped, and is
-    otherwise left as it was.
+    row order.  A block holding NaN or infinity raises
+    :class:`DatasetFormatError`, naming its first bad row.  Blocks go straight
+    into the temporary file of an atomic write, with no copy of the whole set;
+    ``path`` is replaced only if the blocks written cover the ``count`` rows
+    exactly once and no error escaped, and is otherwise left as it was.
     """
     path = Path(path)
     _check_suffix(path)
@@ -176,6 +178,7 @@ def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[in
             raise DimensionError(f"block must have shape (rows, {d}), got {block.shape}")
         if not 0 <= first <= count - len(block):
             raise DimensionMismatchError(f"{path}: rows {first + 1} to {first + len(block)} of {count} declared")
+        _check_finite(path, block, first)  # every reader refuses NaN and infinity
         if binary:
             _pwrite_all(fh.fileno(), block.reshape(-1), _HEADER.size + first * d * 8)
         elif first != (sum(spans[-1]) if spans else 0):
@@ -243,8 +246,11 @@ def _parse_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
 def _check_finite(path: Path, rows: np.ndarray, first: int) -> None:
     """Reject ``rows`` if one holds NaN or infinity, naming it (1-based, counting from row ``first``).
 
-    Rows are checked ``_CHUNK_CELLS`` cells at a time, so no mask is the size of the block.
+    A block passes on its min and max, which make no temporary array; a failing
+    one is searched ``_CHUNK_CELLS`` cells at a time, so no mask is the size of the block.
     """
+    if not rows.size or math.isfinite(rows.min()) and math.isfinite(rows.max()):
+        return
     step = max(1, _CHUNK_CELLS // rows.shape[1])
     for lo in range(0, len(rows), step):
         finite = np.isfinite(rows[lo : lo + step]).all(axis=1)

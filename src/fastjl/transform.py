@@ -80,9 +80,11 @@ def fwht_inplace(v: np.ndarray) -> np.ndarray:
     v``).  H_d is applied as a Kronecker product of Sylvester blocks of size
     at most 64, one BLAS product per block, in O(d log d) flops for every d.
     H_d is symmetric orthogonal, so applying the transform twice restores the
-    input.
+    input.  A read-only ``v`` raises :class:`ParameterError`.
     """
     _check_float_vector(v)
+    if not v.flags.writeable:
+        raise ParameterError("v must be writeable: the transform overwrites it")
     if not is_power_of_two(v.shape[0]):
         raise DimensionError(f"length must be a power of two, got {v.shape[0]}")
     return _fwht_last_axis(v)
@@ -448,6 +450,7 @@ class PhdKernel:
         parallel_map(run, runs(-(-len(X) // step), workers), workers)
         return Y
 
+    @np.errstate(over="ignore", invalid="ignore")  # rows near the float range may give inf; the writer refuses them
     def apply_chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Write the embeddings of the rows of one chunk ``X[n, d_raw]``, ``n <= step``, into ``Y[n, k]``."""
         d_raw = X.shape[1]

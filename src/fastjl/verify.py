@@ -111,10 +111,6 @@ _GRAM_MARGIN = 8.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
 
-# Scratch cells of a block of true pairwise distances (256 KB); at 128 x 200 points
-# every size from 2^12 to 2^16 cells timed alike, within 10% (2-core x86 box).
-_PAIR_CELLS = 1 << 15
-
 # Trials per block of a pairwise run: short, so that a run of a few dozen trials
 # still splits over workers; 8 and 16 timed alike at 128 x 200 points (2-core x86 box).
 _PAIRWISE_BLOCK = 16
@@ -125,26 +121,10 @@ def _pair_sq_distances(Y: np.ndarray) -> np.ndarray:
 
     Bit-identical to ``((Y[ii] - Y[jj]) ** 2).sum(axis=1)``: the same
     squares and last-axis sums, of the differences ``Y[i+1:] - Y[i]``, which
-    are exactly the negated ``Y[i] - Y[i+1:]`` (IEEE rounding is symmetric)
-    and take 0.75x its time.  Whole rows ``i`` go in blocks whose differences
-    fill one scratch of ``max(_PAIR_CELLS, (n - 1) d)`` cells, so memory is
-    O(n * d), not O(n^2 * d), and a block takes one subtraction per row but
-    one square and one sum for all its pairs.
+    are exactly the negated ``Y[i] - Y[i+1:]`` (IEEE rounding is symmetric).
+    One row at a time, so memory is O(n * d), not O(n^2 * d).
     """
-    n, d = Y.shape
-    out = np.empty(n * (n - 1) // 2)
-    scratch = np.empty((max(_PAIR_CELLS // d, n - 1), d))
-    i = lo = 0
-    while i < n - 1:
-        hi = lo
-        while i < n - 1 and hi - lo + n - 1 - i <= len(scratch):
-            np.subtract(Y[i + 1 :], Y[i], out=scratch[hi - lo : hi - lo + n - 1 - i])
-            hi, i = hi + n - 1 - i, i + 1
-        diff = scratch[: hi - lo]
-        np.square(diff, out=diff)
-        diff.sum(axis=1, out=out[lo:hi])
-        lo = hi
-    return out
+    return np.concatenate([((Y[i + 1 :] - Y[i]) ** 2).sum(axis=1) for i in range(len(Y) - 1)])
 
 
 def _pairwise_trial_fails(
@@ -226,7 +206,7 @@ def estimate_failure_rate(
     ``d // 2 < d_raw <= d``; in pairwise mode a trial fails when any pairwise
     distance is distorted.  Points narrower than d are zero-padded inside the
     kernel's scratch, so the true distances come from the raw columns and no
-    padded copy of the set is made.  NaN or infinity in ``source`` raises
+    padded copy of the set is made.  NaN, infinity or a complex ``source`` raises
     :class:`ParameterError`.  ``source`` is first divided by the power of two
     that brings its largest ``|entry|`` into [1/2, 1); that is exact, so any
     finite input gives the rate of its scaled copy, whatever its magnitude.
@@ -251,6 +231,8 @@ def estimate_failure_rate(
     """
     d, k, q, eps = params.d, params.k, params.q, params.eps
     criterion = params.norm_criterion
+    if np.iscomplexobj(source):  # a float64 cast would drop the imaginary part
+        raise ParameterError("source must be real, got a complex array")
     x = np.asarray(source, dtype=np.float64)
     check_finite("source", x)
     # scaled by a power of two, exactly, to a largest |entry| in [1/2, 1): squared
@@ -318,6 +300,8 @@ def coord_exceedance_rate(
     x: np.ndarray, threshold_c: float, n: float, trials: int, seed: int, workers: int = 1
 ) -> TailEstimate:
     """Fraction of sign draws with max_i |(HDx)_i| above sqrt(threshold_c ln(n) / d)."""
+    if np.iscomplexobj(x):
+        raise ParameterError("x must be real, got a complex array")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or not is_power_of_two(len(x)):
         raise DimensionError(f"x must be a vector of power-of-two length, got shape {x.shape}")

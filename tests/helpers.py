@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fastjl import lemmas
+from fastjl import instances, lemmas
 
 
 def dense_hadamard(d: int) -> np.ndarray:
@@ -16,6 +16,13 @@ def dense_hadamard(d: int) -> np.ndarray:
     while H.shape[0] < d:
         H = np.block([[H, H], [H, -H]]) / np.sqrt(2.0)
     return H
+
+
+def write_fjlv_unchecked(path: Path, X: np.ndarray) -> None:
+    """A ``.fjlv`` file of the rows of ``X`` as they are, NaN and infinity included, which no fastjl writer makes."""
+    X = np.ascontiguousarray(X, dtype="<f8")
+    header = instances._HEADER.pack(instances.MAGIC, instances.FORMAT_VERSION, X.shape[1], len(X))
+    Path(path).write_bytes(header + X.tobytes())
 
 
 def wilson_reference(successes: int, trials: int, z: float) -> tuple[float, float]:

@@ -11,6 +11,8 @@ out-of-range values; an integer size also takes 10**400 and 2.5.  The error
 is the class of the check that owns the parameter.  Result records (``TailEstimate``, the ``*Check`` and
 ``*Result`` classes) and ``make_record`` hold outputs, and
 ``elementary_ineq_holds`` is documented as unchecked, so they have no row.
+Arrays the entry points refuse whole (read-only where the call writes,
+complex where it computes in reals) raise :class:`ParameterError` too.
 """
 
 import math
@@ -29,6 +31,7 @@ from fastjl import (
     apply_phd,
     choose_k,
     embed_with,
+    fwht_inplace,
     hard_vector,
     q_ailon_chazelle,
     q_lower_threshold,
@@ -152,6 +155,28 @@ def test_inadmissible_number_raises_the_owning_check_error(entry, kwargs, error)
 @pytest.mark.parametrize("entry, kwargs", [row[1:3] for row in ENTRY_POINTS], ids=[row[0] for row in ENTRY_POINTS])
 def test_the_admissible_arguments_of_each_row_are_accepted(entry, kwargs):
     entry(**kwargs)
+
+
+READ_ONLY = X.copy()
+READ_ONLY.flags.writeable = False
+POINTS = np.random.default_rng(0).standard_normal((3, 16))
+PAIRWISE = dict(params=JlParams(d=16, k=4, eps=0.5, q=0.5, seed=1), trials=2, pairwise=True, workers=1)
+
+
+# fwht_inplace raised numpy's ValueError on a read-only v; a complex source lost its imaginary
+# part with a ComplexWarning, so points that differ only there read as duplicates
+@pytest.mark.parametrize("entry, kwargs", [
+    (fwht_inplace, dict(v=READ_ONLY)),
+    (estimate_failure_rate, dict(params=JlParams(d=16, k=4, eps=0.5, q=0.5, seed=1), source=X + 1j, trials=2)),
+    (estimate_failure_rate, dict(source=POINTS + 1j * np.arange(3)[:, None], **PAIRWISE)),
+    (estimate_failure_rate, dict(source=(POINTS + 0j).tolist(), **PAIRWISE)),
+    (coord_exceedance_rate, dict(x=X + 0j, threshold_c=1.0, n=10.0, **MC)),
+], ids=["fwht_inplace-read_only", "estimate_failure_rate-complex", "estimate_failure_rate-complex_points",
+        "estimate_failure_rate-complex_list", "coord_exceedance_rate-complex"])
+def test_inadmissible_array_raises_parameter_error(entry, kwargs):
+    with pytest.raises(FastJlError) as caught:
+        entry(**kwargs)
+    assert type(caught.value) is ParameterError and "duplicate" not in str(caught.value)
 
 
 # (D, P) sampled at a d that is not a power of two: sampling takes any d, applying needs the FWHT's

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from fastjl.cli import RunConfig, execute, main, parse_config
 from fastjl.rng import MAX_WORKERS, TRIAL_BLOCK
 from fastjl.sparsity import q_theorem1
 from fastjl.transform import _CHUNK_CELLS, PhdKernel
-from helpers import CallLog
+from helpers import CallLog, write_fjlv_unchecked
 
 
 def make_dataset(path, n=6, d=20, seed=0):
@@ -325,7 +326,7 @@ class TestStreamedEmbed:
         rows = 2 * STEP + 10
         X = np.random.default_rng(3).standard_normal((rows, 1000))
         X[-1, 7] = np.nan
-        write_vectors(tmp_path / "x.fjlv", X)
+        write_fjlv_unchecked(tmp_path / "x.fjlv", X)
         self.check_rejected(tmp_path, capsys, "1", rows)
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -333,7 +334,7 @@ class TestStreamedEmbed:
         # 5 chunks: rows 300 and 900 fall in runs 0 and 1 at 2 workers, runs 1 and 2 at 3
         X = np.random.default_rng(4).standard_normal((4 * STEP + 3, 1000))
         X[300, 5], X[900, 9] = np.inf, np.nan
-        write_vectors(tmp_path / "x.fjlv", X)
+        write_fjlv_unchecked(tmp_path / "x.fjlv", X)
         self.check_rejected(tmp_path, capsys, workers, 301)
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -341,15 +342,36 @@ class TestStreamedEmbed:
         # rows 300 and 900 lie in chunks 1 and 3 of the one .csv run
         X = np.random.default_rng(4).standard_normal((4 * STEP + 3, 1000))
         X[300, 5], X[900, 9] = np.inf, np.nan
-        write_vectors(tmp_path / "x.fjlv", X)
+        write_fjlv_unchecked(tmp_path / "x.fjlv", X)
         self.check_rejected(tmp_path, capsys, workers, 301, ".csv")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("dst_suffix", [".fjlv", ".csv"])
+    def test_rows_whose_embedding_overflows_are_not_written(self, tmp_path, capsys, dst_suffix, workers):
+        # finite rows of 1.7e308 in the last of 3 chunks (run 1 at 2 workers) embed to inf or NaN,
+        # which no reader takes; numpy's overflow warning, as an error here, would be a traceback
+        step = _CHUNK_CELLS // 8
+        X = np.random.default_rng(7).standard_normal((2 * step + 300, 8))
+        X[2 * step :] = 1.7e308
+        src, dst = tmp_path / "x.fjlv", tmp_path / f"y{dst_suffix}"
+        write_vectors(src, X)
+        dst.write_bytes(b"an earlier output")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["embed", "--in", str(src), "--out", str(dst), "--k", "4", "--q", "1", "--seed", "1",
+                         "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"row {2 * step + 1} " in err[0]
+        assert dst.read_bytes() == b"an earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", dst.name]
 
     def test_no_write_after_an_earlier_run_fails(self, tmp_path, capsys, monkeypatch):
         # run 0 fails on its first chunk only once run 1 is inside a write, which then
         # takes 0.2 s: that write must land before the output is closed and main returns
         X = np.random.default_rng(5).standard_normal((4 * STEP + 3, 1000))
         X[5, 0] = np.nan
-        write_vectors(tmp_path / "x.fjlv", X)
+        write_fjlv_unchecked(tmp_path / "x.fjlv", X)
         writing, writes = threading.Event(), []
         check_finite, pwrite = instances._check_finite, os.pwrite
 

@@ -20,7 +20,7 @@ from fastjl import (
 )
 from fastjl.instances import VectorReader, hard_level, vector_writer
 
-from helpers import dense_hadamard
+from helpers import dense_hadamard, write_fjlv_unchecked
 
 
 class TestHardVector:
@@ -200,9 +200,21 @@ class TestVectorIo:
         data = np.ones((5, 3))
         data[2, 1] = bad
         path = tmp_path / "x.fjlv"
-        write_vectors(path, data)
+        write_fjlv_unchecked(path, data)
         with pytest.raises(DatasetFormatError, match="row 3 has a non-finite value"):
             read_vectors(path)
+
+    @pytest.mark.parametrize("suffix", [".fjlv", ".csv"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite_and_leaves_no_file(self, tmp_path, suffix, bad):
+        # such a file used to be written, and then every reader refused it
+        data = np.ones((5, 3))
+        data[3, 0] = bad
+        with pytest.raises(DatasetFormatError, match="row 4 has a non-finite value"):
+            write_vectors(tmp_path / f"x{suffix}", data)
+        with pytest.raises(DatasetFormatError, match="row 1 has a non-finite value"):
+            write_vectors(tmp_path / f"x{suffix}", [[bad]])
+        assert list(tmp_path.iterdir()) == []
 
     def test_binary_read_is_a_view_of_the_file_bytes(self, tmp_path):
         path = tmp_path / "x.fjlv"
@@ -267,7 +279,7 @@ class TestBlockIo:
         data = np.ones((10, 3))
         data[8, 2] = np.inf
         path = tmp_path / "x.fjlv"
-        write_vectors(path, data)
+        write_fjlv_unchecked(path, data)
         with VectorReader(path) as reader:
             reader.read_rows(0, np.empty((8, 3)))
             with pytest.raises(DatasetFormatError, match="row 9 has a non-finite value"):
@@ -332,6 +344,19 @@ class TestBlockIo:
                 write(3, np.ones((3, 3)))
         assert path.read_bytes() == b"earlier"
         assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+    @pytest.mark.parametrize("suffix", [".fjlv", ".csv"])
+    def test_writer_names_the_first_non_finite_row_of_a_later_block(self, tmp_path, suffix):
+        path = tmp_path / f"x{suffix}"
+        path.write_bytes(b"earlier")
+        block = np.ones((3, 3))
+        block[1:, 2] = np.nan
+        with pytest.raises(DatasetFormatError, match="row 6 has a non-finite value"):
+            with vector_writer(path, 3, 7) as write:
+                write(0, np.ones((4, 3)))
+                write(4, block)
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("written", [1, 3])
     def test_writer_row_count_mismatch_leaves_path_unchanged(self, tmp_path, written):

@@ -240,6 +240,16 @@ class TestPairwiseGram:
         expected = ((Y[ii] - Y[jj]) ** 2).sum(axis=1)
         assert np.array_equal(verify._pair_sq_distances(Y), expected)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("n, d", [(2, 3), (3, 1), (1000, 200)])
+    def test_row_distances_match_the_gather_over_shapes_and_scales(self, n, d, scale):
+        Y = np.random.default_rng(n * d).standard_normal((n, d)) * scale
+        ii, jj = np.triu_indices(n, k=1)
+        # the gather in blocks of pairs: 1000 x 200 points would take 800 MB at once
+        expected = np.concatenate([((Y[ii[lo : lo + 8192]] - Y[jj[lo : lo + 8192]]) ** 2).sum(axis=1)
+                                   for lo in range(0, len(ii), 8192)])
+        assert np.array_equal(verify._pair_sq_distances(Y), expected)
+
     # success counts of the direct formula ((emb[ii] - emb[jj]) ** 2).sum(axis=1), forced on
     # every pair below (margin=1e300), over blocks of 16 trials; a dense oracle (scipy's
     # Hadamard matrix times the densified P) gives the same counts
@@ -380,7 +390,7 @@ class TestPairwiseRawWidth:
         "k,eps,criterion,folded",
         [(64, 0.7, NormCriterion.SQUARED_NORM, False), (16, 0.6, NormCriterion.NORM, True)],
     )
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_raw_rows_count_as_their_padded_copy(self, monkeypatch, k, eps, criterion, folded, workers):
         d, q = 256, 0.05
         points = np.random.default_rng(k).standard_normal((40, 200))

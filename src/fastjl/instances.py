@@ -16,7 +16,9 @@ Two file formats are supported, dispatched on the file suffix:
   for exact float64 round-trips).
 
 Every file written here is finite, as every reader requires: readers and
-writers reject NaN and infinity, naming the first bad row (1-based).
+writers reject NaN and infinity, naming the first bad row (1-based).  A
+``.csv`` file states ``d`` only in its rows, so the writers refuse one of no
+rows; a ``.fjlv`` file of no rows states it in its header and reads back.
 Vectors travel as plain ``(n, d)`` float64 arrays, at any width d; the PHD
 kernel zero-pads rows to a power of two in its own scratch, so nothing here
 pads.  :func:`read_vectors` and :func:`write_vectors` move a whole array;
@@ -161,7 +163,8 @@ def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[in
     so blocks may come in any order and from several threads at once.  A
     ``.csv`` file is text appended row after row, so it takes blocks only in
     row order.  A block holding NaN or infinity raises
-    :class:`DatasetFormatError`, naming its first bad row.  Blocks go straight
+    :class:`DatasetFormatError`, naming its first bad row, and so does a
+    ``.csv`` file of no rows, which could not state its ``d``.  Blocks go straight
     into the temporary file of an atomic write, with no copy of the whole set;
     ``path`` is replaced only if the blocks written cover the ``count`` rows
     exactly once and no error escaped, and is otherwise left as it was.
@@ -169,6 +172,8 @@ def vector_writer(path: str | Path, d: int, count: int) -> Iterator[Callable[[in
     path = Path(path)
     _check_suffix(path)
     binary = path.suffix == ".fjlv"
+    if not (binary or count):  # a reader takes a .csv file's d from its rows
+        raise DatasetFormatError(f"{path}: a .csv file of no rows cannot state its dimension")
     row_format = ",".join(["%.17g"] * d) + "\n"  # one % per row: 0.6x the time of an f-string per value
     spans: list[tuple[int, int]] = []  # (first, rows) of each block; list.append is atomic
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (NON_NEGATIVE, POSITIVE, RATE, DimensionError, DomainError, ParameterError, check_finite,
                      check_real, check_size)
 from .rng import run_trials
-from .transform import _ThreadScratch
+from .transform import _scratch
 from .verify import TailEstimate, Verdict
 
 __all__ = [
@@ -71,9 +71,6 @@ _GUIDE_BUCKETS = 1 << 16
 
 # Cells (trials x k) per sub-chunk of a z-statistics block; see _z_trials.
 _Z_CHUNK_CELLS = 1 << 15
-
-# the uniforms, the bucket indices (then the squares) and the counts of one sub-chunk, per thread
-_z_scratch = _ThreadScratch()
 
 
 def _binomial_log_pmf(n: int, q: float) -> np.ndarray:
@@ -138,30 +135,29 @@ def _z_table(m, q, k):
 def _z_trials(k, trials, seed, workers, reduce) -> list:
     """``reduce(u)`` for each sub-chunk of each block, in trial order, through :func:`run_trials`.
 
-    A sub-chunk holds about 2^15 cells.  ``u`` is a (k, rows) view of
-    per-thread scratch, which the next sub-chunk overwrites: column i holds
-    the k uniforms of the sub-chunk's trial i.
+    A sub-chunk holds about 2^15 cells.  ``u`` is a (k, rows) view of the
+    thread's ``"uniforms"`` scratch, which the next sub-chunk overwrites:
+    column i holds the k uniforms of the sub-chunk's trial i.
     """
     def draw(rng, count):
         rows = min(count, max(1, _Z_CHUNK_CELLS // k))
-        return [reduce(rng.random(out=_z_scratch.take(0, min(rows, count - lo) * k)).reshape(k, -1))
+        return [reduce(rng.random(out=_scratch.take("uniforms", min(rows, count - lo) * k)).reshape(k, -1))
                 for lo in range(0, count, rows)]
 
     return [part for block in run_trials(seed, trials, draw, workers) for part in block]
 
 
 def _z_counts(u, cdf, table):
-    """The int16 counts at the uniforms ``u`` and their int32 squares, both in scratch of u's shape.
+    """The int16 counts at the uniforms ``u`` and their int32 squares, both in the thread's scratch.
 
     Each count is ``searchsorted(cdf, u, side="right")`` bit for bit: the exact
     Binomial(m, q) CDF inverted at u through the guide table.
     """
-    cells = u.size
-    index = _z_scratch.take(1, cells).view(np.int64)
-    counts = _z_scratch.take(2, -(-cells // 4)).view(np.int16)[:cells]  # 4 int16 per float64 cell
+    counts = _scratch.take("counts", u.size, np.int16)
+    index = _scratch.take("buckets", u.size, np.int64)
     x = _binomial_invert(u.ravel(), cdf, table, counts, index).reshape(u.shape)
-    # m^2 <= 10^8 fits int32; the squares take the bucket indices' cells
-    return x, np.multiply(x, x, out=index.view(np.int32)[:cells].reshape(u.shape), dtype=np.int32)
+    squares = _scratch.take("squares", u.size, np.int32).reshape(u.shape)  # m^2 <= 10^8 fits int32
+    return x, np.multiply(x, x, out=squares, dtype=np.int32)
 
 
 # --------------------------------------------------------------------------

@@ -97,26 +97,23 @@ _MAX_HADAMARD_BLOCK = 64
 # Float64 cells per row chunk (2 MB per scratch array): 256 rows at d = 1024.
 _CHUNK_CELLS = 1 << 18
 
-# Slots of the per-thread scratch: the FWHT's two Kronecker intermediates,
-# the kernel's padded signed rows and a one-shot kernel's dense matrix.
-_FWHT_SLOTS, _ROWS_SLOT, _DENSE_P_SLOT = (0, 1), 2, 3
-
-
 class _ThreadScratch(threading.local):
-    """Float64 buffers of one thread, kept for the thread's life and grown on demand.
+    """Named buffers of one thread, kept for the thread's life: the package's one chunk scratch.
 
     Arrays made afresh per chunk cost page faults and system time each time
-    glibc hands them back to the kernel; these are made once per thread.
+    glibc hands them back to the kernel; these are made once per thread and
+    name, and a take that outgrows one regrows it to the next power of two.
     """
 
     def __init__(self) -> None:
-        self.bufs = [np.empty(0)] * 4
+        self.bufs: dict[str, np.ndarray] = {}
 
-    def take(self, slot: int, cells: int) -> np.ndarray:
-        """The first ``cells`` cells of buffer ``slot``, valid until the next take of that slot."""
-        if len(self.bufs[slot]) < cells:
-            self.bufs[slot] = np.empty(cells)
-        return self.bufs[slot][:cells]
+    def take(self, name: str, n: int, dtype=np.float64) -> np.ndarray:
+        """``n`` items of ``dtype`` from buffer ``name``, valid until the next take of that name."""
+        buf = self.bufs.get(name)
+        if buf is None or len(buf) < n or buf.dtype != dtype:
+            buf = self.bufs[name] = np.empty(1 << max(n - 1, 0).bit_length(), dtype)
+        return buf[:n]
 
 
 _scratch = _ThreadScratch()
@@ -146,7 +143,7 @@ def _fwht_last_axis(a: np.ndarray) -> np.ndarray:
     a row reshaped to (a_1, ..., a_f); the last product writes into ``a``.
     Rows go ``_CHUNK_CELLS`` at a time.  The intermediates of a chunk go into
     the calling thread's scratch (:class:`_ThreadScratch`), alternating
-    between its two FWHT buffers when there are two or more inner blocks
+    between two buffers when there are two or more inner blocks
     (d > 4096), so a call allocates nothing once the thread has run a chunk
     of that size.
     """
@@ -160,7 +157,7 @@ def _fwht_last_axis(a: np.ndarray) -> np.ndarray:
     d = a.shape[-1]
     rows = a.reshape(-1, d)
     step = max(1, _CHUNK_CELLS // d)
-    bufs = [_scratch.take(slot, min(step, len(rows)) * d) for slot in _FWHT_SLOTS[: len(inner)]]
+    bufs = [_scratch.take(name, min(step, len(rows)) * d) for name in ("fwht_even", "fwht_odd")[: len(inner)]]
     for lo in range(0, len(rows), step):
         chunk = u = rows[lo : lo + step]
         right = d
@@ -290,9 +287,7 @@ def _draw_gaps(rng: np.random.Generator, q: float, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _geometric_positions(
-    rng: np.random.Generator, ncells: int, q: float, scratch: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def _geometric_positions(rng: np.random.Generator, ncells: int, q: float, reuse: bool = False) -> np.ndarray:
     """Indices of Bernoulli(q) successes among ``ncells`` cells, via gap skipping.
 
     Gaps between successive successes are iid Geometric(q), so the expected
@@ -305,18 +300,15 @@ def _geometric_positions(
     ``q = 1/3`` numpy switches to a sequential search, which is kept.  A float64
     prefix sum is exact up to 2^53, so every position inside the grid is exact.
 
-    ``scratch`` is an optional caller-owned (float64, int64) pair of arrays;
-    when both hold ``_gap_batch(ncells, q)`` entries, the gaps go into the first
-    and the positions returned are a prefix of the second, so nothing is
-    allocated unless a rare top-up lengthens the batch.
+    With ``reuse`` the gaps and the positions returned live in the calling
+    thread's ``"gaps"`` and ``"positions"`` scratch (:class:`_ThreadScratch`),
+    valid until its next call with ``reuse``; without it both are fresh
+    arrays, so a sampled ``P`` pins no scratch.
     """
     if q >= 1.0:
         return np.arange(ncells, dtype=np.int64)
     batch = _gap_batch(ncells, q)
-    if scratch is None or min(map(len, scratch)) < batch:
-        scratch = np.empty(batch), np.empty(batch, dtype=np.int64)
-    gaps, out = scratch
-    pos = _draw_gaps(rng, q, gaps[:batch])
+    pos = _draw_gaps(rng, q, _scratch.take("gaps", batch) if reuse else np.empty(batch))
     pos[0] -= 1.0  # the first success is at cell gap - 1
     np.add.accumulate(pos, out=pos)  # np.cumsum's sum, without its Python-level dispatch
     while pos[-1] < ncells:  # top-ups after an unlucky first batch are rare
@@ -325,9 +317,7 @@ def _geometric_positions(
         pos = np.concatenate((pos, more))
     # positions increase strictly, so the cells inside the grid are a prefix
     n = int(pos.searchsorted(ncells))
-    if n > len(out):
-        out = np.empty(n, dtype=np.int64)
-    out = out[:n]
+    out = _scratch.take("positions", n, np.int64) if reuse else np.empty(n, np.int64)
     out[...] = pos[:n]
     return out
 
@@ -423,7 +413,7 @@ class PhdKernel:
         if _dense_projection_pays(rows, len(cols), k * d):
             cells = np.repeat(np.arange(0, k * d, d), np.diff(indptr))
             cells += cols
-            P = _scratch.take(_DENSE_P_SLOT, k * d) if one_shot else np.empty(k * d)
+            P = _scratch.take("dense_p", k * d) if one_shot else np.empty(k * d)
             P.fill(0.0)
             P[cells] = self.weights  # one flat scatter, about half the cost of a 2-d one
             P = P.reshape(k, d)
@@ -450,7 +440,7 @@ class PhdKernel:
         parallel_map(run, runs(-(-len(X) // step), workers), workers)
         return Y
 
-    @np.errstate(over="ignore", invalid="ignore")  # rows near the float range may give inf; the writer refuses them
+    @np.errstate(over="ignore", invalid="ignore")  # rows near the float range may give inf; callers refuse them
     def apply_chunk(self, X: np.ndarray, Y: np.ndarray) -> None:
         """Write the embeddings of the rows of one chunk ``X[n, d_raw]``, ``n <= step``, into ``Y[n, k]``."""
         d_raw = X.shape[1]
@@ -459,7 +449,7 @@ class PhdKernel:
             return
         # the zero-padded, signed rows; a padded cell holds 0 * sign, so -0.0
         # under a negative sign, exactly as in a padded copy of the input
-        U = _scratch.take(_ROWS_SLOT, len(X) * len(self.signs)).reshape(len(X), -1)
+        U = _scratch.take("signed_rows", len(X) * len(self.signs)).reshape(len(X), -1)
         np.multiply(X, self.signs[:d_raw], out=U[:, :d_raw])
         U[:, d_raw:] = self.signs[d_raw:] * 0.0
         if self.Pt is not None:
@@ -482,7 +472,8 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
     over ``workers`` threads as CLI ``embed`` cuts them, each run in its
     thread's chunk scratch (see :class:`PhdKernel`).  The output is
     bit-identical at every worker count.
-    NaN or infinity in ``X`` raises :class:`ParameterError`.
+    NaN or infinity in ``X``, or in the embedding of rows near the float
+    range, raises :class:`ParameterError`.
     """
     if not isinstance(X, np.ndarray) or X.ndim != 2 or X.shape[1] != diag.d or diag.d != proj.d:
         raise DimensionError(f"X must be a 2-d array with d={proj.d} columns, matching the diagonal (d={diag.d})")
@@ -492,9 +483,16 @@ def apply_phd(X: np.ndarray, diag: SignDiagonal, proj: SparseProjection, workers
         raise ParameterError(f"X must have dtype float64, got {X.dtype}")
     check_finite("X", X)
     kernel = PhdKernel(diag.signs, proj.indptr, proj.cols, proj.weights, proj.k, len(X), one_shot=True)
-    return kernel.apply(X, workers=workers)
+    return _finite_embedding(kernel.apply(X, workers=workers))
 
 
+def _finite_embedding(y: np.ndarray) -> np.ndarray:
+    """``y``, or :class:`ParameterError` if input entries near the float range overflowed into it."""
+    check_finite("the embedding", y)
+    return y
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises in _finite_embedding, with no warning
 def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     """The full embedding k^{-1/2} P H D x with (D, P) drawn from params.seed.
 
@@ -502,7 +500,8 @@ def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     to the next power of two beforehand; this layer rejects other lengths so
     the unitary contract of H stays exact).  Bit-identical to ``embed_with``
     applied to ``sample_signs`` / ``sample_projection`` at the same seed,
-    but skips building the intermediate structures.
+    but skips building the intermediate structures.  An embedding that
+    overflows (``x`` near the float range) raises :class:`ParameterError`.
     """
     _check_float_vector(x, "x")
     if x.shape[0] != params.d:
@@ -512,17 +511,19 @@ def embed(x: np.ndarray, params: JlParams) -> np.ndarray:
     indptr, cols, weights = _draw_projection_arrays(rng, params.k, params.d, params.q)
     weights *= params.k**-0.5
     # one row never pays for a dense copy of P (see _dense_projection_pays): the gather
-    return _project_core(indptr, cols, weights, _fwht_last_axis(x * signs))
+    return _finite_embedding(_project_core(indptr, cols, weights, _fwht_last_axis(x * signs)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def embed_with(x: np.ndarray, diag: SignDiagonal, proj: SparseProjection) -> np.ndarray:
-    """Embed with a pre-sampled (D, P) pair; :func:`apply_phd` embeds many vectors at once."""
+    """Embed with a pre-sampled (D, P) pair, as :func:`embed` does; :func:`apply_phd` embeds many vectors at once."""
     _check_float_vector(x, "x")
     if x.shape[0] != diag.d or diag.d != proj.d:
         raise DimensionError(f"length mismatch: x has {x.shape[0]}, diagonal d={diag.d}, projection d={proj.d}")
     if not is_power_of_two(diag.d):
         raise DimensionError(f"d must be a power of two, got {diag.d}")
-    return _project_core(proj.indptr, proj.cols, proj.weights * proj.k**-0.5, _fwht_last_axis(x * diag.signs))
+    weights = proj.weights * proj.k**-0.5
+    return _finite_embedding(_project_core(proj.indptr, proj.cols, weights, _fwht_last_axis(x * diag.signs)))
 
 
 def sample_dense_matrix(k: int, d: int, seed: int) -> np.ndarray:

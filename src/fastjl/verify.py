@@ -30,7 +30,7 @@ from .instances import hard_vector
 from .rng import run_trials
 from .sparsity import choose_k
 from .transform import (JlParams, NormCriterion, PhdKernel, _CHUNK_CELLS, _draw_projection_arrays, _draw_signs,
-                        _fwht_last_axis, _gap_batch, _geometric_positions, is_power_of_two)
+                        _fwht_last_axis, _geometric_positions, _scratch, is_power_of_two)
 
 Z95 = 1.96
 
@@ -101,7 +101,7 @@ def _norm_window_fails(ratio_sq: np.ndarray, eps: float, criterion: NormCriterio
 
 # Expected cells per sub-chunk of single-vector trials: sign cells (t * d) or
 # sampled entries of P (t * k * d * q), whichever is larger; 7 trials at
-# d = 1024, k = 267, q = 0.016.  With the per-block scratch a trial there takes
+# d = 1024, k = 267, q = 0.016.  With its chunk buffers reused a trial there takes
 # a median 124-134 us at every size from 2^15 to 2^18 (2-core x86 box).  The
 # size fixes where the random streams are cut, so it cannot change alone.
 _TRIAL_CHUNK_CELLS = 1 << 15
@@ -217,8 +217,9 @@ def estimate_failure_rate(
     ``P H D x`` is ``N(0, sum_{j in S_i} (HDx)_j^2 / q)``, so each trial draws
     k Gaussians instead of one weight per entry of P.  The
     arrays of about ``t k d q`` entries (gaps, positions, rows, cells, gathered
-    values) live in one scratch per block, so per thread, that every chunk
-    reuses: arrays made afresh per chunk cost about 40 page faults per trial.
+    values) are named buffers of the thread's scratch
+    (:class:`fastjl.transform._ThreadScratch`), which every chunk reuses:
+    arrays made afresh per chunk cost about 40 page faults per trial.
     A pairwise trial draws its signs and P from the block's stream, embeds
     the points with :class:`fastjl.transform.PhdKernel` and takes distances
     from the Gram matrix, recomputing pairs near a window edge with the
@@ -268,16 +269,14 @@ def estimate_failure_rate(
     step = max(1, int(_TRIAL_CHUNK_CELLS // max(d, k * d * q)))
     trial_base = (np.arange(step * k) // k) << log_d  # row of the stacked supports -> trial * d
 
-    def one_chunk(rng: np.random.Generator, t: int, scratch: list[np.ndarray]) -> int:
+    def one_chunk(rng: np.random.Generator, t: int) -> int:
         u = _draw_signs(rng, (t, d))  # becomes (H D x)^2, one row per trial
         u *= x
         _fwht_last_axis(u)
         u *= u
-        pos = _geometric_positions(rng, t * k * d, q, scratch[:2])  # cells of t stacked k x d supports
-        n = len(pos)
-        if n > len(scratch[0]):  # a top-up outgrew the scratch: grow it for the rest of the block
-            scratch[:] = [np.empty(n, a.dtype) for a in scratch]
-        vals, _, rows, cells = (a[:n] for a in scratch)  # the gaps are spent: their array takes the values
+        pos = _geometric_positions(rng, t * k * d, q, reuse=True)  # cells of t stacked k x d supports
+        rows, cells = (_scratch.take(name, len(pos), np.int64) for name in ("rows", "cells"))
+        vals = _scratch.take("gaps", len(pos))  # the gaps are spent: their buffer takes the values
         np.right_shift(pos, log_d, out=rows)
         np.take(trial_base, rows, out=cells, mode="clip")  # in range; "clip" writes without a copy
         pos &= d - 1
@@ -289,9 +288,7 @@ def estimate_failure_rate(
         return int(np.count_nonzero(_norm_window_fails(ratio_sq, eps, criterion)))
 
     def draw(rng: np.random.Generator, count: int) -> int:
-        n = _gap_batch(step * k * d, q)
-        scratch = [np.empty(n), np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int64)]
-        return sum(one_chunk(rng, min(step, count - start), scratch) for start in range(0, count, step))
+        return sum(one_chunk(rng, min(step, count - start)) for start in range(0, count, step))
 
     return TailEstimate.from_counts(sum(run_trials(params.seed, trials, draw, workers)), trials)
 

@@ -307,9 +307,9 @@ class TestStreamedEmbed:
     def test_format_pairs(self, tmp_path, src_suffix, dst_suffix, workers):
         self.check(tmp_path, 2 * STEP + 5, 1000, workers, src_suffix, dst_suffix)
 
-    # a .csv output is one run, written chunk by chunk in row order
+    # a .csv output is one run, written chunk by chunk in row order; one of no rows is refused (below)
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
-    @pytest.mark.parametrize("rows", [0, 1, STEP, 4 * STEP + 3])
+    @pytest.mark.parametrize("rows", [1, STEP, 4 * STEP + 3])
     def test_csv_output_matches_one_whole_file_call(self, tmp_path, rows, workers):
         self.check(tmp_path, rows, 1000, workers, ".fjlv", ".csv")
 
@@ -365,6 +365,19 @@ class TestStreamedEmbed:
         assert len(err) == 1 and err[0].startswith("fastjl: error:") and f"row {2 * step + 1} " in err[0]
         assert dst.read_bytes() == b"an earlier output"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", dst.name]
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_no_rows_to_a_csv_output_are_refused(self, tmp_path, capsys, workers):
+        # such a .csv output used to be written empty, and then read_vectors refused it as an empty file
+        src, dst = tmp_path / "x.fjlv", tmp_path / "y.csv"
+        write_vectors(src, np.empty((0, 8)))
+        dst.write_bytes(b"an earlier output")
+        code = main(["embed", "--in", str(src), "--out", str(dst), "--k", "4", "--q", "0.5", "--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("fastjl: error:") and "no rows" in err[0]
+        assert dst.read_bytes() == b"an earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.fjlv", "y.csv"]
 
     def test_no_write_after_an_earlier_run_fails(self, tmp_path, capsys, monkeypatch):
         # run 0 fails on its first chunk only once run 1 is inside a write, which then
@@ -1033,6 +1046,13 @@ def test_only_rng_imports_concurrent_futures():
                         re.MULTILINE)
     starters = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py") if starts.search(path.read_text()))
     assert starters == ["rng.py"]
+
+
+def test_only_transform_keeps_a_thread_scratch():
+    # the package's one chunk scratch is transform._scratch; every other module takes named buffers from it
+    scratch = re.compile(r"_ThreadScratch\(|threading\.local\b")
+    keepers = sorted(path.name for path in Path(cli.__file__).parent.glob("*.py") if scratch.search(path.read_text()))
+    assert keepers == ["transform.py"]
 
 
 def _imported_modules(nodes) -> set[str]:

@@ -216,6 +216,14 @@ class TestVectorIo:
             write_vectors(tmp_path / f"x{suffix}", [[bad]])
         assert list(tmp_path.iterdir()) == []
 
+    def test_csv_of_no_rows_is_refused_and_leaves_no_file(self, tmp_path):
+        # such a file used to be written empty, and then read_vectors refused it as an empty file
+        with pytest.raises(DatasetFormatError, match="no rows cannot state its dimension"):
+            write_vectors(tmp_path / "x.csv", np.empty((0, 8)))
+        assert list(tmp_path.iterdir()) == []
+        write_vectors(tmp_path / "x.fjlv", np.empty((0, 8)))  # the header states d
+        assert read_vectors(tmp_path / "x.fjlv").shape == (0, 8)
+
     def test_binary_read_is_a_view_of_the_file_bytes(self, tmp_path):
         path = tmp_path / "x.fjlv"
         write_vectors(path, np.ones((3, 4)))

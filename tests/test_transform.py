@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -268,9 +269,9 @@ GAP_QS = [1e-9, 1e-4, 0.003, 0.01625, 0.1327, 0.25, 0.3333, 1 / 3, 0.34, 0.5, 0.
 class TestGeometricPositions:
     """The gaps are ``rng.geometric``'s, bit for bit, and leave the generator where it would."""
 
-    def _check(self, ncells, q, seed, scratch=None, batch=None):
+    def _check(self, ncells, q, seed, reuse=False, batch=None):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _geometric_positions(got_rng, ncells, q, scratch)
+        got = _geometric_positions(got_rng, ncells, q, reuse)
         ref = _reference_positions(ref_rng, ncells, q, batch or _gap_batch(ncells, q))
         assert got.dtype == np.int64
         assert np.array_equal(got, ref)
@@ -284,27 +285,27 @@ class TestGeometricPositions:
             self._check(ncells, q, seed)
 
     @pytest.mark.parametrize("q", GAP_QS)
-    def test_scratch_holds_the_positions(self, q):
-        ncells = 4096
-        n = _gap_batch(ncells, q)
-        gaps, out = np.empty(n), np.empty(n, dtype=np.int64)
-        got = self._check(ncells, q, 5, (gaps, out))
-        if q < 1.0 and len(got):
-            assert np.shares_memory(got, out)
+    def test_reuse_puts_the_positions_in_scratch(self, monkeypatch, q):
+        monkeypatch.setattr(transform._scratch, "bufs", {})
+        for seed in (5, 6):  # the second call overwrites or regrows the buffer
+            got = self._check(4096, q, seed, reuse=True)
+            if q < 1.0 and len(got):
+                assert np.shares_memory(got, transform._scratch.bufs["positions"])
 
     @pytest.mark.parametrize("q", GAP_QS)
-    def test_short_scratch_is_not_used(self, q):
-        gaps, out = np.full(3, np.nan), np.full(3, -1, dtype=np.int64)
-        got = self._check(4096, q, 6, (gaps, out))
-        assert not np.shares_memory(got, out) and np.all(out == -1)
+    def test_without_reuse_no_scratch_is_taken(self, monkeypatch, q):
+        # a sampled P keeps these positions as its columns, so they must not pin the scratch
+        monkeypatch.setattr(transform._scratch, "bufs", {})
+        self._check(4096, q, 6)
+        assert transform._scratch.bufs == {}
 
     @pytest.mark.parametrize("q", [0.003, 0.25, 1 / 3, 0.5, 0.9])
     def test_top_up_branch(self, monkeypatch, q):
         # a first batch of one gap almost never reaches the end, so the 16-gap top-ups do the work
         monkeypatch.setattr(transform, "_gap_batch", lambda ncells, q: 1)
         for seed in range(4):
-            for scratch in (None, (np.empty(1), np.empty(1, dtype=np.int64))):
-                got = self._check(round(40 / q), q, seed, scratch, batch=1)
+            for reuse in (False, True):
+                got = self._check(round(40 / q), q, seed, reuse, batch=1)
                 assert len(got) > 1  # so at least one top-up
 
     def test_sample_projection_uses_the_same_positions(self):
@@ -550,6 +551,18 @@ class TestApplyPhd:
         X[2, 5] = bad
         with pytest.raises(ParameterError, match="non-finite"):
             apply_phd(X, diag, proj)
+
+    def test_overflowing_embedding_raises_without_a_warning(self):
+        # finite rows near the float range embed to inf or NaN, which each entry point used to return
+        diag, proj = sample_signs(8, 1), sample_projection(4, 8, 1.0, 1)
+        X = np.full((300, 8), 1.7e308)
+        params = JlParams(d=8, k=4, eps=0.5, q=1.0, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: apply_phd(X, diag, proj), lambda: apply_phd(X, diag, proj, workers=2),
+                         lambda: embed_with(X[0], diag, proj), lambda: embed(X[0], params)):
+                with pytest.raises(ParameterError, match="the embedding has a non-finite value"):
+                    call()
 
     def test_dense_projection_rule(self):
         # a single row never pays for the copy; no copy is larger than the cap

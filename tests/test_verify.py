@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from fastjl import DimensionError, DomainError, JlParams, NormCriterion, ParameterError, apply_phd, embed, sample_signs
-from fastjl import lemmas, verify
+from fastjl import lemmas, transform, verify
 from fastjl import rng as fastjl_rng
 from fastjl.lemmas import (
     BoundSpec,
@@ -46,7 +46,7 @@ from fastjl.verify import (
 )
 from fastjl.instances import random_unit_vector
 from fastjl.rng import TRIAL_BLOCK, derive_seed, run_trials, substream
-from fastjl.sparsity import q_lower_threshold, q_theorem1
+from fastjl.sparsity import choose_k, q_lower_threshold, q_theorem1
 from fastjl.transform import _CHUNK_CELLS, PhdKernel, _draw_projection_arrays, _draw_signs, sample_projection
 
 from helpers import CallLog, dense_hadamard, simulate_z_statistics, wilson_reference
@@ -204,11 +204,27 @@ class TestFailureRate:
         params = JlParams(d=d, k=k, eps=0.3, q=q, seed=21)
         x = random_unit_vector(d, 4)
         trials = TRIAL_BLOCK + 77
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             assert estimate_failure_rate(params, x, trials, workers=workers).successes == count
-        # a scratch of 8 entries is outgrown by the first chunk and grown in place
-        monkeypatch.setattr(verify, "_gap_batch", lambda ncells, q: 8)
-        assert estimate_failure_rate(params, x, trials, workers=2).successes == count
+            # every buffer grows from nothing, and again wherever a later chunk needs more
+            monkeypatch.setattr(transform._scratch, "bufs", {})
+            assert estimate_failure_rate(params, x, trials, workers=workers).successes == count
+
+    def test_second_call_allocates_no_chunk_arrays(self):
+        # the mc_single shape; arrays made per chunk, rather than taken from the thread's scratch,
+        # peaked at 1.1 MB here
+        d, eps, n = 1024, 0.25, 64.0
+        params = JlParams(d=d, k=choose_k(eps, n=n, c_k=4.0), eps=eps, q=q_theorem1(eps, n, d, 4.0), seed=3)
+        x = random_unit_vector(d, 3)
+        first = estimate_failure_rate(params, x, 512)
+        tracemalloc.start()
+        try:
+            again = estimate_failure_rate(params, x, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and params.k == 267
+        assert peak <= 512 * 1024
 
     def test_conditional_law_matches_direct_embedding(self):
         # the rate drawn from the conditional law against embed at fresh seeds
